@@ -35,7 +35,7 @@ from .errors import (
     RegimeMismatchError,
 )
 from .estimators import fit_pinv, regime_of
-from .linalg import SvdResult, as_matrix, as_vector, pseudoinverse_apply
+from .linalg import SvdResult, as_matrix, as_vector, pseudoinverse_apply, svd
 
 # The decomposition and the refit estimator are two float paths through the
 # same factorization; refitting re-factorizes a reconstructed matrix, which
@@ -109,6 +109,70 @@ def make_ground_truth(x_full, y_full, x_train, y_train) -> GroundTruth:
     if x_full.shape[1] != x_train.shape[1]:
         raise DimensionMismatchError("full and train feature counts differ")
     beta_star = pseudoinverse_apply(x_full, y_full)
+    return GroundTruth(beta_star=beta_star, residuals=y_train - x_train @ beta_star)
+
+
+@dataclass(frozen=True, eq=False)
+class NestedGroundTruth:
+    """One Householder QR of a full-data stack, serving the ground truth of
+    every leading column block of it.
+
+    For a stack A = [X; E] of shape (N, P_max) with targets b, the QR of the
+    augmented matrix [A b] gives A = Q R and Q^T b at once.  Householder QR
+    treats columns in order, so every leading block factors as
+    A[:, :P] = Q[:, :P] R[:P, :P]: the block has the singular values of the
+    P x P triangle, and its minimum-norm least squares solution is
+    pinv(R[:P, :P]) (Q^T b)[:P].  ``make_nested_ground_truth`` computes that
+    with the rank tolerance of the block's own shape, max(N, P), so it keeps
+    the modes ``make_ground_truth`` keeps on the explicit block.
+
+    ``full_rank`` says whether A itself keeps all P_max modes.  Dropping
+    columns can only raise the smallest singular value and lower the largest
+    (interlacing), so the tolerance max(N, P) sigma_max * RANK_TOLERANCE_SCALE
+    can only shrink with them.  A full-rank A therefore has full-rank leading
+    blocks, and pinv(R[:P, :P]) is the inverse: one triangular solve instead
+    of an SVD per block.
+
+    This only pays when the features nest, as Legendre columns do across P.
+    """
+
+    r: np.ndarray
+    qtb: np.ndarray
+    n_rows: int
+    full_rank: bool
+
+
+def factor_nested_ground_truth(x_full, y_full) -> NestedGroundTruth:
+    """Factor the full-data stack once; see ``NestedGroundTruth``."""
+    x_full = as_matrix(x_full, "x_full")
+    y_full = as_vector(y_full, "y_full")
+    if y_full.shape[0] != x_full.shape[0]:
+        raise DimensionMismatchError("full X and Y row counts differ")
+    n, p = x_full.shape
+    if n < p:
+        raise DimensionMismatchError(f"the stack must be tall, got {n}x{p}")
+    r = np.linalg.qr(np.column_stack([x_full, y_full]), mode="r")[:p]
+    full_rank = svd(r[:, :p], stack_rows=n).rank == p
+    return NestedGroundTruth(r=r[:, :p], qtb=r[:, p], n_rows=n, full_rank=full_rank)
+
+
+def make_nested_ground_truth(f: NestedGroundTruth, x_train, y_train) -> GroundTruth:
+    """``make_ground_truth`` on the stack's first P columns, P the column
+    count of ``x_train``, solved on the P x P triangle instead of the stack."""
+    x_train = as_matrix(x_train, "x_train")
+    y_train = as_vector(y_train, "y_train")
+    if y_train.shape[0] != x_train.shape[0]:
+        raise DimensionMismatchError("train X and Y row counts differ")
+    p = x_train.shape[1]
+    if p > f.r.shape[0]:
+        raise DimensionMismatchError(
+            f"train has {p} features but the stack only {f.r.shape[0]}"
+        )
+    if f.full_rank:
+        beta_star = np.linalg.solve(f.r[:p, :p], f.qtb[:p])
+    else:
+        s = svd(f.r[:p, :p], stack_rows=f.n_rows)
+        beta_star = s.v_cols @ ((s.u_cols.T @ f.qtb[:p]) / s.singular_values)
     return GroundTruth(beta_star=beta_star, residuals=y_train - x_train @ beta_star)
 
 

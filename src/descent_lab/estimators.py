@@ -107,16 +107,21 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         raise RankDeficientError(f"{what}: system is numerically singular") from exc
 
 
-def fit_ols_under(x, y) -> FitResult:
+def _rank(x: np.ndarray, rank: int | None) -> int:
+    return svd(x).rank if rank is None else rank
+
+
+def fit_ols_under(x, y, *, rank: int | None = None) -> FitResult:
     """Ordinary least squares through the normal equations.
 
     Requires N >= D with X^T X numerically full rank; rank-deficient input
     raises ``RankDeficientError`` and the caller should fall back to
-    ``fit_min_norm`` or ``fit_pinv``.
+    ``fit_min_norm`` or ``fit_pinv``.  ``rank`` is X's numerical rank when
+    the caller already holds ``svd(x)``; left out, it is computed here.
     """
     x, y = _validate_xy(x, y)
     n, d = x.shape
-    if n < d or svd(x).rank < d:
+    if n < d or _rank(x, rank) < d:
         raise RankDeficientError(
             f"normal equations need full column rank (shape {n}x{d})"
         )
@@ -130,16 +135,17 @@ def fit_ols_under(x, y) -> FitResult:
     )
 
 
-def fit_min_norm(x, y) -> FitResult:
+def fit_min_norm(x, y, *, rank: int | None = None) -> FitResult:
     """Minimum-norm interpolation via the Gram matrix, beta = X^T (X X^T)^{-1} Y.
 
     Requires N <= D with X X^T numerically full rank.  A rank-deficient Gram
     matrix signals duplicate or degenerate rows; callers should fall back to
-    ``fit_pinv``, which handles that case.
+    ``fit_pinv``, which handles that case.  ``rank`` is as in
+    ``fit_ols_under``.
     """
     x, y = _validate_xy(x, y)
     n, d = x.shape
-    if n > d or svd(x).rank < n:
+    if n > d or _rank(x, rank) < n:
         raise RankDeficientError(
             f"Gram matrix is rank deficient for shape {n}x{d}"
         )

@@ -33,6 +33,7 @@ environment variable ``DESCENT_LAB_THREADS`` caps the worker count.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -50,8 +51,11 @@ from .data import (
     take_rows,
 )
 from .decomposition import (
+    NestedGroundTruth,
     decompose_test_errors,
+    factor_nested_ground_truth,
     make_ground_truth,
+    make_nested_ground_truth,
     smallest_nonzero_singular_value,
 )
 from .errors import ConfigError, EmptySpectrumError, RankDeficientError
@@ -393,15 +397,19 @@ def replace_y(ds: Dataset, y: np.ndarray) -> Dataset:
                    source=ds.source, preprocessing=ds.preprocessing, seed=ds.seed)
 
 
-def _regime_fit(x: np.ndarray, y: np.ndarray):
+def _regime_fit(x: np.ndarray, y: np.ndarray, rank: int | None = None):
     """The regime-appropriate estimator: OLS when tall, Gram min-norm when
-    wide, pseudoinverse at the threshold and on rank-deficient input."""
+    wide, pseudoinverse at the threshold and on rank-deficient input.
+
+    ``rank`` is X's numerical rank from the cell's own SVD, which spares the
+    tall and wide fits a second factorization; left out, they compute it.
+    """
     n, d = x.shape
     try:
         if n > d:
-            return fit_ols_under(x, y)
+            return fit_ols_under(x, y, rank=rank)
         if n < d:
-            return fit_min_norm(x, y)
+            return fit_min_norm(x, y, rank=rank)
     except RankDeficientError:
         pass
     return fit_pinv(x, y)
@@ -426,7 +434,7 @@ def run_cell(config: SweepConfig, n_train: int, seed: int, *, _plan: _Plan | Non
             lam = policy.auto_coeff * float(s.singular_values[0]) ** 2
         fit = fit_ridge(train2.X, train2.Y, lam)
     else:
-        fit = _regime_fit(train2.X, train2.Y)
+        fit = _regime_fit(train2.X, train2.Y, s.rank)
 
     resid = test2.X @ fit.beta - test2.Y
     test_mse = float(resid @ resid / test2.n_rows)
@@ -500,6 +508,36 @@ def run_sweep(config: SweepConfig, *, _plan: _Plan | None = None) -> SweepOutcom
     return _run_cells(cells, lambda n, s: run_cell(config, n, s, _plan=plan))
 
 
+class _SeedCache:
+    """Per-seed state shared by the cells of one seed.
+
+    The first cell of a seed builds it, under the lock, so cells of the same
+    seed on other threads wait for that one build; the seed's last cell to
+    release it drops it.  With seed-major dispatch only the seeds in flight
+    are held.
+    """
+
+    def __init__(self, build, cells_per_seed: int):
+        self._build = build
+        self._cells_per_seed = cells_per_seed
+        self._lock = threading.Lock()
+        self._live: dict[int, list] = {}  # seed -> [state, cells left]
+
+    def acquire(self, seed: int):
+        with self._lock:
+            slot = self._live.get(seed)
+            if slot is None:
+                slot = self._live[seed] = [self._build(seed), self._cells_per_seed]
+            return slot[0]
+
+    def release(self, seed: int) -> None:
+        with self._lock:
+            slot = self._live[seed]
+            slot[1] -= 1
+            if slot[1] == 0:
+                del self._live[seed]
+
+
 def run_polynomial_sweep(
     p_grid: list[int], n: int, seeds: list[int], noise_sd: float
 ) -> SweepOutcome:
@@ -508,6 +546,11 @@ def run_polynomial_sweep(
     Test MSE is measured against a dense noiseless grid of 1,000 points on
     [-1, 1].  Records reuse the sweep schema with d = P.  Duplicate grid
     entries produce duplicate records.
+
+    Legendre columns nest across P, so each seed draws its training set once
+    at P_max, factors its (n + 1000) x P_max ground-truth stack once
+    (``NestedGroundTruth``), and every cell slices the first P columns.  The
+    slices are bit-identical to a P-column draw.
     """
     if not p_grid:
         raise ConfigError("empty P grid")
@@ -517,24 +560,39 @@ def run_polynomial_sweep(
         raise ConfigError(f"need n >= 1, got {n}")
     xs = np.linspace(-1.0, 1.0, DENSE_EVAL_POINTS)
     ye = polynomial_target(xs)
+    p_max = max(p_grid)
+    xe_max = _legendre_matrix(xs, p_max)
+
+    def build(seed: int) -> tuple[Dataset, NestedGroundTruth]:
+        ds = make_polynomial_dataset(n, p_max, noise_sd, seed)
+        truth = factor_nested_ground_truth(
+            np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+        )
+        return ds, truth
+
+    cache = _SeedCache(build, len(p_grid))
 
     def one(p: int, seed: int) -> SweepRecord:
-        ds = make_polynomial_dataset(n, p, noise_sd, seed)
-        xe = _legendre_matrix(xs, p)
-        s = svd(ds.X)
-        fit = _regime_fit(ds.X, ds.Y)
-        resid = xe @ fit.beta - ye
+        ds, truth = cache.acquire(seed)
         try:
-            sv = smallest_nonzero_singular_value(s)
-        except EmptySpectrumError:
-            sv = None
-        gt = make_ground_truth(
-            np.vstack([ds.X, xe]), np.concatenate([ds.Y, ye]), ds.X, ds.Y
-        )
-        bias_vec, var_vec, _ = decompose_test_errors(xe, s, gt, fit.regime)
+            # Contiguous copies, so every BLAS call sees the layout of a
+            # fresh P-column draw and the records stay bit-identical to one.
+            x = np.ascontiguousarray(ds.X[:, :p])
+            xe = np.ascontiguousarray(xe_max[:, :p])
+            s = svd(x)
+            fit = _regime_fit(x, ds.Y, s.rank)
+            resid = xe @ fit.beta - ye
+            try:
+                sv = smallest_nonzero_singular_value(s)
+            except EmptySpectrumError:
+                sv = None
+            gt = make_nested_ground_truth(truth, x, ds.Y)
+            bias_vec, var_vec, _ = decompose_test_errors(xe, s, gt, fit.regime)
+        finally:
+            cache.release(seed)
         return SweepRecord(
             n_train=n,
-            d=int(p),
+            d=p,
             seed=seed,
             ablation="none",
             estimator="pinv",
@@ -546,7 +604,9 @@ def run_polynomial_sweep(
             regime=fit.regime,
         )
 
-    cells = [(int(p), seed) for p in p_grid for seed in seeds]
+    # Seed-major, so each seed's cells run together and its state is dropped
+    # once they are done.
+    cells = [(int(p), seed) for seed in seeds for p in p_grid]
     return _run_cells(cells, one)
 
 

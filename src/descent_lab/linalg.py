@@ -84,23 +84,25 @@ class SvdResult:
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Sign convention: first nonzero component of each right singular vector
-    # is positive.  u and v must flip together to preserve the product.
-    u = u.copy()
-    vt = vt.copy()
-    for r in range(vt.shape[0]):
-        nz = np.nonzero(vt[r])[0]
-        if nz.size and vt[r, nz[0]] < 0:
-            vt[r] = -vt[r]
-            u[:, r] = -u[:, r]
-    return u, vt
+    # is positive.  u and v must flip together to preserve the product.  An
+    # all-zero row has argmax 0 and a zero lead, so it keeps sign +1.  The
+    # results are C-ordered whatever LAPACK returned, because the BLAS calls
+    # downstream round differently on other layouts.
+    lead = vt[np.arange(vt.shape[0]), np.argmax(vt != 0, axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    return np.multiply(u, sign, order="C"), np.multiply(vt, sign[:, None], order="C")
 
 
-def svd(x) -> SvdResult:
+def svd(x, *, stack_rows: int | None = None) -> SvdResult:
     """Factor ``x`` as U diag(sigma) V^T, dropping numerically zero modes.
 
     Parameters
     ----------
     x : array-like, shape (N, D), N >= 1 and D >= 1, all entries finite.
+    stack_rows : when ``x`` is the triangular factor R of a QR of a taller
+        matrix A = QR, the row count of A.  R has A's singular values, and
+        the rank tolerance then uses A's shape, max(stack_rows, D), so the
+        retained modes are the ones ``svd(A)`` would keep.
 
     Returns
     -------
@@ -120,7 +122,8 @@ def svd(x) -> SvdResult:
         u, s, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise IterationFailureError(f"SVD did not converge: {exc}") from exc
-    tol = float(s[0]) * max(n, d) * RANK_TOLERANCE_SCALE if s.size else 0.0
+    rows = n if stack_rows is None else stack_rows
+    tol = float(s[0]) * max(rows, d) * RANK_TOLERANCE_SCALE if s.size else 0.0
     keep = s > tol
     u, s, vt = u[:, keep], s[keep], vt[keep]
     u, vt = _fix_signs(u, vt)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 import xml.dom.minidom
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from descent_lab.errors import ConfigError
 from descent_lab.experiments import SweepRecord
 from descent_lab.linalg import pseudoinverse_apply
 
+REPO = Path(__file__).resolve().parent.parent
 
 def test_parse_grid_forms():
     assert _parse_grid("7") == [7]
@@ -177,6 +179,30 @@ def test_polyfit_end_to_end(tmp_path):
         "--seeds", "0:1", "--out", str(out2),
     ])
     assert (out / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
+
+def test_polyfit_records_ignore_thread_count(tmp_path, monkeypatch):
+    args = ["polyfit", "--n", "30", "--p-grid", "1:60", "--noise-sd", "0.5", "--seeds", "0:3"]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DESCENT_LAB_THREADS", threads)
+        assert main(args + ["--out", str(tmp_path / threads)]) == 0
+    one = (tmp_path / "1" / "records.csv").read_bytes()
+    assert one == (tmp_path / "2" / "records.csv").read_bytes()
+    assert one.count(b"\n") == 1 + 60 * 4
+
+
+def test_readme_diabetes_command_runs(tmp_path, monkeypatch):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    line = next(
+        ln for ln in readme.splitlines() if ln.startswith("descent-lab sweep --dataset csv:")
+    )
+    argv = shlex.split(line)[1:]
+    argv[argv.index("--seeds") + 1] = "0:1"  # fewer seeds, same command
+    argv[argv.index("--out") + 1] = str(tmp_path / "diabetes")
+    monkeypatch.chdir(REPO)  # the README path is relative to the checkout
+    assert main(argv) == 0
+    rows = read_csv_rows(tmp_path / "diabetes" / "records.csv")
+    assert rows and all(r["d"] == "10" for r in rows)
 
 
 def test_gdcheck_end_to_end(tmp_path):

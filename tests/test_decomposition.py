@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from descent_lab.data import _legendre_matrix, make_polynomial_dataset, polynomial_target
 from descent_lab.decomposition import (
     GroundTruth,
     decompose_test_error,
     decompose_test_errors,
+    factor_nested_ground_truth,
     make_ground_truth,
+    make_nested_ground_truth,
     smallest_nonzero_singular_value,
 )
-from descent_lab.errors import EmptySpectrumError, RegimeMismatchError
+from descent_lab.errors import DimensionMismatchError, EmptySpectrumError, RegimeMismatchError
 from descent_lab.estimators import REGIME_INTERP, REGIME_OVER, fit_pinv, regime_of
 from descent_lab.linalg import svd
 
@@ -183,7 +186,7 @@ def test_ill_conditioned_polynomial_instance_still_balances():
     # Legendre features near the interpolation threshold produce spectra with
     # condition numbers around 1e9; the internal crosscheck has to tolerate
     # the float drift of two algebraically identical routes at that scale.
-    from descent_lab.data import legendre_features, make_polynomial_dataset, polynomial_target
+    from descent_lab.data import legendre_features
 
     ds = make_polynomial_dataset(46, 46, 0.5, seed=8)
     xs = np.linspace(-1.0, 1.0, 1000)
@@ -198,3 +201,60 @@ def test_ill_conditioned_polynomial_instance_still_balances():
     s = svd(ds.X)
     bias, var, pred = decompose_test_errors(dense_x[:50], s, gt, regime_of(46, 46))
     assert np.isfinite(pred).all()
+
+
+def test_nested_ground_truth_matches_the_explicit_stack_at_every_p():
+    # One QR of the P = 200 polynomial stack against make_ground_truth on the
+    # explicit (30 + 1000) x P stack of a fresh P-column draw, for every P.
+    xs = np.linspace(-1.0, 1.0, 1000)
+    xe, ye = _legendre_matrix(xs, 200), polynomial_target(xs)
+    worst = 0.0
+    for seed in (0, 11):
+        full = make_polynomial_dataset(30, 200, 0.5, seed)
+        nested = factor_nested_ground_truth(
+            np.vstack([full.X, xe]), np.concatenate([full.Y, ye])
+        )
+        assert nested.n_rows == 1030 and nested.full_rank
+        for p in range(1, 201):
+            ds = make_polynomial_dataset(30, p, 0.5, seed)
+            stack = np.vstack([ds.X, xe[:, :p]])
+            want = make_ground_truth(stack, np.concatenate([ds.Y, ye]), ds.X, ds.Y)
+            got = make_nested_ground_truth(nested, ds.X, ds.Y)
+            # a full-rank stack leaves every leading block full rank
+            assert svd(stack).rank == p, f"seed {seed}, P={p}"
+            err = np.linalg.norm(got.beta_star - want.beta_star)
+            worst = max(worst, err / np.linalg.norm(want.beta_star))
+            assert_allclose(got.residuals, ds.Y - ds.X @ got.beta_star, rtol=0, atol=0)
+    assert worst <= 1e-9, worst
+
+
+def test_nested_ground_truth_rejects_bad_shapes():
+    rng = np.random.default_rng(27)
+    x, y = rng.standard_normal((12, 5)), rng.standard_normal(12)
+    with pytest.raises(DimensionMismatchError):
+        factor_nested_ground_truth(x.T, y[:5])  # wide stack
+    with pytest.raises(DimensionMismatchError):
+        factor_nested_ground_truth(x, y[:11])
+    nested = factor_nested_ground_truth(x, y)
+    with pytest.raises(DimensionMismatchError):
+        make_nested_ground_truth(nested, rng.standard_normal((3, 6)), y[:3])
+    assert_allclose(
+        make_nested_ground_truth(nested, x[:3], y[:3]).beta_star,
+        make_ground_truth(x, y, x[:3], y[:3]).beta_star,
+        rtol=1e-12,
+    )
+
+
+def test_nested_ground_truth_on_a_rank_deficient_stack():
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((40, 6))
+    x[:, 3] = x[:, 1]  # blocks with P >= 4 lose a mode
+    y = rng.standard_normal(40)
+    nested = factor_nested_ground_truth(x, y)
+    assert not nested.full_rank
+    for p in range(1, 7):
+        rank = svd(nested.r[:p, :p], stack_rows=40).rank
+        assert rank == svd(x[:, :p]).rank == (p if p < 4 else p - 1)
+        got = make_nested_ground_truth(nested, x[:5, :p], y[:5])
+        want = make_ground_truth(x[:, :p], y, x[:5, :p], y[:5])
+        assert_allclose(got.beta_star, want.beta_star, rtol=1e-9, atol=1e-12)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from descent_lab.data import make_student_teacher, take_rows
+from descent_lab import experiments
+from descent_lab.data import (
+    _legendre_matrix,
+    make_polynomial_dataset,
+    make_student_teacher,
+    polynomial_target,
+    take_rows,
+)
+from descent_lab.decomposition import decompose_test_errors, make_ground_truth
 from descent_lab.errors import ConfigError
 from descent_lab.estimators import REGIME_INTERP, REGIME_OVER, REGIME_UNDER, fit_pinv
 from descent_lab.experiments import (
@@ -10,6 +18,7 @@ from descent_lab.experiments import (
     EstimatorPolicy,
     SweepConfig,
     SweepRecord,
+    _regime_fit,
     apply_ablation,
     default_synthetic_grid,
     median_series,
@@ -22,6 +31,7 @@ from descent_lab.experiments import (
     run_sweep,
     worker_count,
 )
+from descent_lab.linalg import svd
 
 SMALL = dict(d=8, noise_sd=0.25, grid=list(range(2, 25)), seeds=list(range(5)))
 
@@ -129,6 +139,54 @@ def test_polynomial_sweep_basics():
     at_threshold = [r for r in out.records if r.d == 10]
     assert all(r.train_mse <= 1e-8 for r in at_threshold)  # P >= n interpolates
     assert all(r.n_train == 10 and r.estimator == "pinv" for r in out.records)
+
+
+def _poly_cell_reference(p, n, seed, noise_sd):
+    # The per-cell path: a fresh P-column draw, its own evaluation matrix and
+    # the ground truth refit on the explicit (n + 1000) x P stack.
+    xs = np.linspace(-1.0, 1.0, 1000)
+    ye = polynomial_target(xs)
+    ds = make_polynomial_dataset(n, p, noise_sd, seed)
+    xe = _legendre_matrix(xs, p)
+    s = svd(ds.X)
+    fit = _regime_fit(ds.X, ds.Y)
+    resid = xe @ fit.beta - ye
+    gt = make_ground_truth(np.vstack([ds.X, xe]), np.concatenate([ds.Y, ye]), ds.X, ds.Y)
+    bias, var, _ = decompose_test_errors(xe, s, gt, fit.regime)
+    exact = (p, seed, fit.train_mse, float(resid @ resid / 1000),
+             float(s.singular_values[-1]), fit.regime)
+    return exact, (float(np.mean(np.abs(bias))), float(np.mean(np.abs(var))))
+
+
+def test_polynomial_sweep_matches_the_per_cell_path():
+    grid, seeds = [200, 5, 30, 30], [3, 4]  # unsorted, with a duplicate
+    out = run_polynomial_sweep(grid, n=30, seeds=seeds, noise_sd=0.5)
+    assert not out.failures
+    want = sorted(
+        (_poly_cell_reference(p, 30, seed, 0.5) for p in grid for seed in seeds),
+        key=lambda w: (w[0][1], w[0][0]),
+    )
+    assert len(out.records) == len(want)
+    for r, (exact, terms) in zip(out.records, want):
+        assert (r.d, r.seed, r.train_mse, r.test_mse, r.smallest_nonzero_sv,
+                r.regime) == exact
+        assert_allclose((r.bias_term_mean, r.variance_term_mean), terms, rtol=1e-9)
+
+
+def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
+    calls = []
+    factor = experiments.factor_nested_ground_truth
+
+    def counting(x_full, y_full):
+        calls.append(x_full.shape)
+        return factor(x_full, y_full)
+
+    monkeypatch.setattr(experiments, "factor_nested_ground_truth", counting)
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "3")
+    out = run_polynomial_sweep([12, 3, 7, 7, 1], n=6, seeds=[0, 1, 2, 3], noise_sd=0.3)
+    assert not out.failures and len(out.records) == 20
+    # one fill per seed, also when several threads reach a seed at once
+    assert calls == [(1006, 12)] * 4
 
 
 def test_polynomial_sweep_validation():

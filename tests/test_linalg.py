@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from descent_lab.errors import DimensionMismatchError
 from descent_lab.linalg import (
     RANK_TOLERANCE_SCALE,
+    _fix_signs,
     as_matrix,
     as_vector,
     project_onto_rowspace,
@@ -46,6 +47,53 @@ def test_svd_sign_convention_first_nonzero_positive():
             col = s.v_cols[:, r]
             nz = col[np.abs(col) > 1e-12]
             assert nz.size > 0 and nz[0] > 0
+
+
+def _fix_signs_loop(u, vt):
+    # The row-by-row loop _fix_signs replaced, kept as its reference.
+    u = u.copy()
+    vt = vt.copy()
+    for r in range(vt.shape[0]):
+        nz = np.nonzero(vt[r])[0]
+        if nz.size and vt[r, nz[0]] < 0:
+            vt[r] = -vt[r]
+            u[:, r] = -u[:, r]
+    return u, vt
+
+
+def test_fix_signs_is_bit_identical_to_the_loop():
+    rng = np.random.default_rng(12)
+    cases = [(np.zeros((3, 0)), np.zeros((0, 4)))]  # rank 0
+    for _ in range(200):
+        n, d = (int(k) for k in rng.integers(1, 9, size=2))
+        r = int(rng.integers(1, min(n, d) + 1))
+        u = rng.standard_normal((n, r))
+        vt = rng.standard_normal((r, d))
+        # leading zeros (signed zeros too) and whole zero rows
+        lead = rng.integers(0, d + 1, size=r)
+        for i, k in enumerate(lead):
+            vt[i, :k] = 0.0 if rng.random() < 0.5 else -0.0
+        cases.append((u, vt))
+        # LAPACK hands back Fortran-ordered factors
+        cases.append((np.asfortranarray(u), np.asfortranarray(vt)))
+    for u, vt in cases:
+        got_u, got_vt = _fix_signs(u, vt)
+        want_u, want_vt = _fix_signs_loop(u, vt)
+        # same layout too: downstream BLAS calls round by it
+        assert got_u.strides == want_u.strides and got_vt.strides == want_vt.strides
+        assert got_u.tobytes() == want_u.tobytes()
+        assert got_vt.tobytes() == want_vt.tobytes()
+
+
+def test_stack_rows_sets_the_rank_tolerance_shape():
+    # R of a QR of a tall matrix has its singular values; with stack_rows the
+    # rank tolerance is the tall matrix's, max(N, D), not R's own max(D, D).
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((50, 4)) * [1.0, 1.0, 1.0, 1e-11]
+    r = np.linalg.qr(a, mode="r")
+    assert svd(r).rank == 4
+    assert svd(r, stack_rows=50).rank == svd(a).rank == 3
+    assert_allclose(svd(r, stack_rows=50).rank_tolerance, svd(a).rank_tolerance, rtol=1e-12)
 
 
 def test_svd_orthonormal_columns():
