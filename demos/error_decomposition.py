@@ -26,7 +26,7 @@ s = svd(x_train)
 fit = fit_pinv(x_train, y_train)
 
 x_test = ds.X[-1]
-dec = decompose_test_error(x_test, s, gt, regime_of(N_TRAIN, D))
+dec = decompose_test_error(x_test, x_train, y_train, s, gt, regime_of(N_TRAIN, D))
 
 print(f"shape {N_TRAIN} x {D}: {regime_of(N_TRAIN, D)}, rank {s.rank}")
 print(f"\n{'mode':>4} {'sigma':>9} {'1/sigma':>9} {'x.v':>9} {'u.E':>9} {'term':>10}")

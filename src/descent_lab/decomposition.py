@@ -18,8 +18,8 @@ singular vector.  All three must be present at once for the test error to
 spike, which is exactly what happens near the interpolation threshold.
 
 The identity is algebraic, so it holds in every regime; the functions here
-verify it numerically against an independently fitted estimator and refuse to
-return silently wrong numbers.
+verify it numerically against an independent least squares fit of the
+training rows and refuse to return silently wrong numbers.
 """
 
 from __future__ import annotations
@@ -34,17 +34,20 @@ from .errors import (
     EmptySpectrumError,
     RegimeMismatchError,
 )
-from .estimators import fit_pinv, regime_of
+from .estimators import regime_of
 from .linalg import SvdResult, as_matrix, as_vector, pseudoinverse_apply, svd
 
-# The decomposition and the refit estimator are two float paths through the
-# same factorization; refitting re-factorizes a reconstructed matrix, which
-# rotates near-degenerate trailing modes and spreads the paths apart by up to
-# a few thousand times machine epsilon times the condition number of the
-# retained spectrum, measured against the size of the terms being summed.
-# The gate scales with both and keeps a ~50x cushion over the worst drift
-# seen on badly conditioned near-threshold designs, while staying orders of
-# magnitude below the O(1) relative disagreement a wrong formula produces.
+# The crosscheck compares the decomposition with an independent fit: LAPACK's
+# gelsd least squares solver (np.linalg.lstsq) on the original training rows
+# and targets, cut at the factorization's own rank tolerance.  gelsd runs its
+# own bidiagonalization, so the two routes share no factorization and drift
+# apart by up to a few thousand times machine epsilon times the condition
+# number of the retained spectrum, measured against the size of the terms
+# being summed.  The gate scales with both.  The worst drift seen, on the
+# badly conditioned near-threshold cells of the polynomial sweep (P 1:200,
+# n = 30, seeds 0:19), used 0.3% of it, and the linear sweeps under every
+# ablation at most 0.002%; a wrong formula, a dropped mode or inconsistent
+# residuals produce an O(1) relative disagreement.
 CROSSCHECK_TOL = 1e-8
 CROSSCHECK_KAPPA_FACTOR = 65536.0
 
@@ -185,17 +188,44 @@ def _check_regime(s: SvdResult, regime: str) -> None:
         )
 
 
-def _train_targets(s: SvdResult, gt: GroundTruth) -> np.ndarray:
-    # Y_train = X_train beta_star + E with X_train rebuilt from its modes.
-    return (s.u_cols * s.singular_values) @ (s.v_cols.T @ gt.beta_star) + gt.residuals
+def _training_rows(x_train, y_train, s: SvdResult, gt: GroundTruth):
+    x_train = as_matrix(x_train, "x_train")
+    y_train = as_vector(y_train, "y_train")
+    if x_train.shape != (s.n_rows, s.n_cols) or y_train.shape[0] != s.n_rows:
+        raise DimensionMismatchError(
+            f"training rows are {x_train.shape[0]}x{x_train.shape[1]} with "
+            f"{y_train.shape[0]} targets, the factorization {s.n_rows}x{s.n_cols}"
+        )
+    if gt.residuals.shape[0] != s.n_rows:
+        raise DimensionMismatchError(
+            f"residuals have length {gt.residuals.shape[0]}, expected {s.n_rows}"
+        )
+    return x_train, y_train
 
 
-def decompose_test_error(x_test, s: SvdResult, gt: GroundTruth, regime: str) -> ErrorDecomposition:
+def _lstsq_fit(x_train: np.ndarray, y_train: np.ndarray, s: SvdResult) -> np.ndarray:
+    # gelsd treats sigma <= rcond * sigma_max as zero, the modes s dropped.
+    # (A cutoff within rounding of a singular value may land on either side
+    # in the two drivers; the check then fails loudly.)  gelsd reads
+    # rcond >= 1 as machine epsilon, so keeping no mode at all, the
+    # minimum-norm fit being zero, cannot be asked of it.
+    if s.rank == 0:
+        return np.zeros(s.n_cols)
+    rcond = s.rank_tolerance / float(s.singular_values[0])
+    return np.linalg.lstsq(x_train, y_train, rcond=rcond)[0]
+
+
+def decompose_test_error(
+    x_test, x_train, y_train, s: SvdResult, gt: GroundTruth, regime: str
+) -> ErrorDecomposition:
     """Split the prediction error at one test point into bias and variance.
 
-    The result satisfies predicted_error = bias_term + variance_term and is
-    cross-checked against the prediction of an independently fitted
-    pseudoinverse estimator; a mismatch beyond tolerance raises
+    ``s`` is the factorization of ``x_train`` the decomposition runs on:
+    ``svd(x_train)``, or a truncation of it, which the minimum-norm fit then
+    shares.  The result satisfies predicted_error = bias_term +
+    variance_term and is cross-checked against the prediction of an
+    independent least squares fit on (``x_train``, ``y_train``) at the same
+    rank tolerance; a mismatch beyond tolerance raises
     ``DecompositionMismatchError`` instead of returning bad numbers.
     """
     x_test = as_vector(x_test, "x_test")
@@ -203,10 +233,7 @@ def decompose_test_error(x_test, s: SvdResult, gt: GroundTruth, regime: str) -> 
         raise DimensionMismatchError(
             f"x_test has length {x_test.shape[0]}, expected {s.n_cols}"
         )
-    if gt.residuals.shape[0] != s.n_rows:
-        raise DimensionMismatchError(
-            f"residuals have length {gt.residuals.shape[0]}, expected {s.n_rows}"
-        )
+    x_train, y_train = _training_rows(x_train, y_train, s, gt)
     _check_regime(s, regime)
 
     if s.rank == s.n_cols:
@@ -235,9 +262,8 @@ def decompose_test_error(x_test, s: SvdResult, gt: GroundTruth, regime: str) -> 
     variance = float(sum(m.contribution for m in modes))
     predicted = bias + variance
 
-    # Independent route: what the fitted estimator actually predicts.
-    y_train = _train_targets(s, gt)
-    beta_hat = fit_pinv(s.reconstruct(), y_train).beta
+    # Independent route: what a least squares fit actually predicts.
+    beta_hat = _lstsq_fit(x_train, y_train, s)
     y_star = float(x_test @ gt.beta_star)
     observed = float(x_test @ beta_hat) - y_star
     magnitude = max(
@@ -256,22 +282,21 @@ def decompose_test_error(x_test, s: SvdResult, gt: GroundTruth, regime: str) -> 
     )
 
 
-def decompose_test_errors(x_test_rows, s: SvdResult, gt: GroundTruth, regime: str):
+def decompose_test_errors(
+    x_test_rows, x_train, y_train, s: SvdResult, gt: GroundTruth, regime: str
+):
     """Vectorized decomposition over many test points at once.
 
     Returns (bias, variance, predicted) arrays, one entry per test row,
     computed with the same formulas as ``decompose_test_error`` and
-    cross-checked row by row against the estimator's predictions.
+    cross-checked row by row against the same least squares fit.
     """
     x_rows = as_matrix(x_test_rows, "x_test_rows")
     if x_rows.shape[1] != s.n_cols:
         raise DimensionMismatchError(
             f"test rows have {x_rows.shape[1]} features, expected {s.n_cols}"
         )
-    if gt.residuals.shape[0] != s.n_rows:
-        raise DimensionMismatchError(
-            f"residuals have length {gt.residuals.shape[0]}, expected {s.n_rows}"
-        )
+    x_train, y_train = _training_rows(x_train, y_train, s, gt)
     _check_regime(s, regime)
 
     if s.rank == s.n_cols:
@@ -285,8 +310,7 @@ def decompose_test_errors(x_test_rows, s: SvdResult, gt: GroundTruth, regime: st
     variance = xv @ coeff
     predicted = bias + variance
 
-    y_train = _train_targets(s, gt)
-    beta_hat = fit_pinv(s.reconstruct(), y_train).beta
+    beta_hat = _lstsq_fit(x_train, y_train, s)
     y_star = x_rows @ gt.beta_star
     observed = x_rows @ beta_hat - y_star
     gap = np.abs(predicted - observed)

@@ -7,7 +7,9 @@
 * ``fit_pinv``: beta = X^+ Y through the SVD.  Agrees with both of the above
   on their home turf and is the only one defined everywhere, including at the
   interpolation threshold N = D and on rank-deficient inputs.
-* ``fit_ridge``: beta = X^T (X X^T + lambda I)^{-1} Y, whose lambda -> 0 limit
+* ``fit_ridge``: beta = sum_r sigma_r / (sigma_r^2 + lambda) (u_r . Y) v_r
+  over the retained singular modes, which is X^T (X X^T + lambda I)^{-1} Y
+  without the modes the pseudoinverse treats as zero; its lambda -> 0 limit
   is the pseudoinverse solution.
 * ``fit_gradient_descent``: the discrete rule w(t+1) = w(t) - eta X^T e(t)
   started from w(0) = 0, which converges to the minimum-norm solution whenever
@@ -29,7 +31,7 @@ from .errors import (
     DomainError,
     RankDeficientError,
 )
-from .linalg import as_matrix, as_vector, pseudoinverse_apply, svd
+from .linalg import SvdResult, as_matrix, as_vector, pseudoinverse_apply, svd
 
 REGIME_UNDER = "underparameterized"
 REGIME_INTERP = "interpolation"
@@ -98,9 +100,9 @@ def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    # The rank checks above use a relative tolerance, but LAPACK can still
-    # hit an exactly zero pivot on extreme scales (e.g. a ridge lambda that
-    # vanishes below the float precision of the Gram entries).
+    # The rank checks use a relative tolerance on the singular values, but
+    # the Gram matrix squares them, so LAPACK can still hit an exactly zero
+    # pivot on extreme scales.
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -159,10 +161,14 @@ def fit_min_norm(x, y, *, rank: int | None = None) -> FitResult:
     )
 
 
-def fit_pinv(x, y) -> FitResult:
-    """Pseudoinverse fit beta = X^+ Y, defined for every shape and rank."""
+def fit_pinv(x, y, *, s: SvdResult | None = None) -> FitResult:
+    """Pseudoinverse fit beta = X^+ Y, defined for every shape and rank.
+
+    ``s`` is ``svd(x)``, or a truncation of it, when the caller already
+    holds it; the fit then uses exactly its modes.
+    """
     x, y = _validate_xy(x, y)
-    beta = pseudoinverse_apply(x, y)
+    beta = pseudoinverse_apply(x, y, s=s)
     return FitResult(
         beta=beta,
         regime=regime_of(*x.shape),
@@ -171,17 +177,24 @@ def fit_pinv(x, y) -> FitResult:
     )
 
 
-def fit_ridge(x, y, lam: float) -> FitResult:
-    """Ridge regression beta = X^T (X X^T + lambda I)^{-1} Y with lambda > 0.
+def fit_ridge(x, y, lam: float, *, s: SvdResult | None = None) -> FitResult:
+    """Ridge regression with lambda > 0 on X's retained singular modes,
+    beta = sum_r sigma_r / (sigma_r^2 + lambda) (u_r . Y) v_r.
 
-    As lambda shrinks to zero the solution approaches ``fit_pinv``; use that
-    directly for the limit instead of passing lambda = 0.
+    That is X^T (X X^T + lambda I)^{-1} Y minus the modes below the rank
+    tolerance, which ``fit_pinv`` drops as well, so no ridge coefficient
+    exceeds its pseudoinverse counterpart (u_r . Y) / sigma_r and the
+    solution never outgrows X^+ Y.  As lambda shrinks to zero it approaches
+    ``fit_pinv``; use that directly for the limit instead of passing
+    lambda = 0.  ``s`` is as in ``fit_pinv``.
     """
     x, y = _validate_xy(x, y)
     if not lam > 0:
         raise DomainError(f"ridge needs lambda > 0, got {lam}")
-    n = x.shape[0]
-    beta = x.T @ _solve(x @ x.T + lam * np.eye(n), y, f"ridge(lambda={lam:.3g})")
+    if s is None:
+        s = svd(x)
+    sv = s.singular_values
+    beta = s.v_cols @ (sv / (sv * sv + lam) * (s.u_cols.T @ y))
     return FitResult(
         beta=beta,
         regime=regime_of(*x.shape),

@@ -7,6 +7,13 @@ records train/test error, the smallest nonzero singular value of the training
 matrix, and the mean magnitudes of the bias and variance terms of the error
 decomposition.
 
+Each seed draws its training pool and its test set once and fits the ideal
+model beta_star once, on pool and test together; every cell of the seed
+takes its first n_train pool rows, factors them with one SVD, and fits,
+reads sigma_min, ablates and decomposes from that one factorization
+(``_cell``).  beta_star is therefore the same at every n_train of a seed,
+so the bias and variance columns compare along the curve.
+
 Three ablations switch off one spike ingredient each:
 
 * ``sv-cutoff``: truncate the training SVD at a cutoff tau before fitting,
@@ -16,8 +23,8 @@ Three ablations switch off one spike ingredient each:
   set's overlap with the dangerous trailing modes.  (Projecting onto the full
   row space provably does not change minimum-norm predictions at all, because
   X^+ Y already lives in the row space; the cutoff makes the projection bite.)
-* ``linearized-targets``: refit the targets as X beta_star, removing the
-  residuals.
+* ``linearized-targets``: replace every target of a seed, pool and test, by
+  X beta_star with the seed's beta_star, removing the residuals.
 
 When tau is not given explicitly it defaults to 0.9x the median over all
 cells of sigma_max(training X).  Small cutoffs leave the near-threshold modes
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -48,9 +56,9 @@ from .data import (
     make_student_teacher,
     polynomial_target,
     split,
-    take_rows,
 )
 from .decomposition import (
+    GroundTruth,
     NestedGroundTruth,
     decompose_test_errors,
     factor_nested_ground_truth,
@@ -60,7 +68,7 @@ from .decomposition import (
 )
 from .errors import ConfigError, EmptySpectrumError, RankDeficientError
 from .estimators import fit_min_norm, fit_ols_under, fit_pinv, fit_ridge
-from .linalg import svd, truncate_svd
+from .linalg import SvdResult, svd, truncate_svd
 
 N_TEST_SYNTHETIC = 256
 DENSE_EVAL_POINTS = 1000
@@ -359,7 +367,9 @@ def apply_ablation(
     a one-line note describing what was done.
 
     The cutoff-style ablations need a concrete tau here; sweeps resolve the
-    default before dispatching cells.
+    default before dispatching cells.  Sweeps do not call this: they ablate
+    from the cell's own SVD and linearize with the seed's beta_star (see
+    the module docstring), where this fits beta_star on train and test.
     """
     if train.n_cols != test.n_cols:
         raise ConfigError("train and test feature counts differ")
@@ -397,14 +407,16 @@ def replace_y(ds: Dataset, y: np.ndarray) -> Dataset:
                    source=ds.source, preprocessing=ds.preprocessing, seed=ds.seed)
 
 
-def _regime_fit(x: np.ndarray, y: np.ndarray, rank: int | None = None):
+def _regime_fit(x: np.ndarray, y: np.ndarray, s: SvdResult | None = None):
     """The regime-appropriate estimator: OLS when tall, Gram min-norm when
     wide, pseudoinverse at the threshold and on rank-deficient input.
 
-    ``rank`` is X's numerical rank from the cell's own SVD, which spares the
-    tall and wide fits a second factorization; left out, they compute it.
+    ``s`` is the cell's own factorization of ``x``, possibly truncated: its
+    rank spares the tall and wide fits a second factorization, and the
+    pseudoinverse fit uses its modes.  Left out, the fits factor ``x``.
     """
     n, d = x.shape
+    rank = None if s is None else s.rank
     try:
         if n > d:
             return fit_ols_under(x, y, rank=rank)
@@ -412,33 +424,27 @@ def _regime_fit(x: np.ndarray, y: np.ndarray, rank: int | None = None):
             return fit_min_norm(x, y, rank=rank)
     except RankDeficientError:
         pass
-    return fit_pinv(x, y)
+    return fit_pinv(x, y, s=s)
 
 
-def run_cell(config: SweepConfig, n_train: int, seed: int, *, _plan: _Plan | None = None) -> SweepRecord:
-    """Run one (n_train, seed) cell and record everything about it."""
-    plan = _plan if _plan is not None else _prepare(config)
-    pool, test = _environment(plan, seed)
-    if n_train > pool.n_rows:
-        raise ConfigError(
-            f"n_train={n_train} exceeds the {pool.n_rows}-row training pool"
-        )
-    train = take_rows(pool, slice(0, n_train))
-    train2, test2, _ = apply_ablation(plan.ablation, train, test)
+def _cell(
+    x, y, x_eval, y_eval, s: SvdResult, gt: GroundTruth, policy: EstimatorPolicy
+) -> dict:
+    """The data columns of one cell's record, all from its one factorization.
 
-    s = svd(train2.X)
-    policy = plan.config.estimator
+    ``s`` factors the training rows ``x`` (truncated under sv-cutoff); the
+    fit, sigma_min and the decomposition all use it.  ``x_eval`` and
+    ``y_eval`` are the rows the test error is measured on.
+    """
     if policy.kind == "ridge" and s.rank > 0:
         lam = policy.lam
         if lam is None:
             lam = policy.auto_coeff * float(s.singular_values[0]) ** 2
-        fit = fit_ridge(train2.X, train2.Y, lam)
+        fit = fit_ridge(x, y, lam, s=s)
     else:
-        fit = _regime_fit(train2.X, train2.Y, s.rank)
+        fit = _regime_fit(x, y, s)
 
-    resid = test2.X @ fit.beta - test2.Y
-    test_mse = float(resid @ resid / test2.n_rows)
-
+    resid = x_eval @ fit.beta - y_eval
     try:
         sv = smallest_nonzero_singular_value(s)
     except EmptySpectrumError:
@@ -446,27 +452,62 @@ def run_cell(config: SweepConfig, n_train: int, seed: int, *, _plan: _Plan | Non
 
     # The decomposition always describes the minimum-norm mechanism on the
     # (possibly ablated) training data; ridge alters only the MSE columns.
-    gt = make_ground_truth(
-        np.vstack([train2.X, test2.X]),
-        np.concatenate([train2.Y, test2.Y]),
-        train2.X,
-        train2.Y,
-    )
-    bias_vec, var_vec, _ = decompose_test_errors(test2.X, s, gt, fit.regime)
-
-    return SweepRecord(
-        n_train=n_train,
-        d=plan.d,
-        seed=seed,
-        ablation=plan.ablation.label(),
-        estimator=policy.label(),
+    bias_vec, var_vec, _ = decompose_test_errors(x_eval, x, y, s, gt, fit.regime)
+    return dict(
         train_mse=fit.train_mse,
-        test_mse=test_mse,
+        test_mse=float(resid @ resid / x_eval.shape[0]),
         smallest_nonzero_sv=sv,
         bias_term_mean=float(np.mean(np.abs(bias_vec))),
         variance_term_mean=float(np.mean(np.abs(var_vec))),
         regime=fit.regime,
     )
+
+
+def _seed_state(plan: _Plan, seed: int) -> tuple[Dataset, Dataset, np.ndarray]:
+    """One seed's training pool and test set, and beta_star fit once on both.
+    Under linearized-targets both sets come back with X beta_star as targets."""
+    pool, test = _environment(plan, seed)
+    beta_star = make_ground_truth(
+        np.vstack([pool.X, test.X]), np.concatenate([pool.Y, test.Y]), pool.X, pool.Y
+    ).beta_star
+    if plan.ablation.kind == "linearized-targets":
+        pool = replace_y(pool, pool.X @ beta_star)
+        test = replace_y(test, test.X @ beta_star)
+    return pool, test, beta_star
+
+
+def _linear_cell(plan: _Plan, state, n_train: int, seed: int) -> SweepRecord:
+    pool, test, beta_star = state
+    if n_train > pool.n_rows:
+        raise ConfigError(
+            f"n_train={n_train} exceeds the {pool.n_rows}-row training pool"
+        )
+    x, y = pool.X[:n_train], pool.Y[:n_train]
+    s = svd(x)
+    x_eval = test.X
+    kind = plan.ablation
+    if kind.kind == "sv-cutoff":
+        s = truncate_svd(s, kind.tau)
+    elif kind.kind == "test-projection":
+        v = truncate_svd(s, kind.tau).v_cols
+        x_eval = (x_eval @ v) @ v.T
+    gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
+    policy = plan.config.estimator
+    return SweepRecord(
+        n_train=n_train,
+        d=plan.d,
+        seed=seed,
+        ablation=kind.label(),
+        estimator=policy.label(),
+        **_cell(x, y, x_eval, test.Y, s, gt, policy),
+    )
+
+
+def run_cell(config: SweepConfig, n_train: int, seed: int) -> SweepRecord:
+    """Run one (n_train, seed) cell and record everything about it; the
+    record equals the sweep's for the same cell."""
+    plan = _prepare(config)
+    return _linear_cell(plan, _seed_state(plan, seed), n_train, seed)
 
 
 def _run_cells(cells, one) -> SweepOutcome:
@@ -501,11 +542,21 @@ def run_sweep(config: SweepConfig, *, _plan: _Plan | None = None) -> SweepOutcom
 
     Output order is sorted by (n_train, seed) whatever the execution
     schedule, and identical configurations produce identical outcomes.
-    Failed cells are collected, not fatal.
+    Failed cells are collected, not fatal.  Cells run seed-major, and the
+    first cell of a seed builds its state (``_seed_state``).
     """
     plan = _plan if _plan is not None else _prepare(config)
-    cells = [(n, seed) for n in plan.grid for seed in config.seeds]
-    return _run_cells(cells, lambda n, s: run_cell(config, n, s, _plan=plan))
+    cells = [(n, seed) for seed in config.seeds for n in plan.grid]
+    cache = _SeedCache(lambda seed: _seed_state(plan, seed), cells)
+
+    def one(n_train: int, seed: int) -> SweepRecord:
+        state = cache.acquire(seed)
+        try:
+            return _linear_cell(plan, state, n_train, seed)
+        finally:
+            cache.release(seed)
+
+    return _run_cells(cells, one)
 
 
 class _SeedCache:
@@ -513,13 +564,13 @@ class _SeedCache:
 
     The first cell of a seed builds it, under the lock, so cells of the same
     seed on other threads wait for that one build; the seed's last cell to
-    release it drops it.  With seed-major dispatch only the seeds in flight
-    are held.
+    release it drops it; ``cells`` says how many cells each seed has.  With
+    seed-major dispatch only the seeds in flight are held.
     """
 
-    def __init__(self, build, cells_per_seed: int):
+    def __init__(self, build, cells):
         self._build = build
-        self._cells_per_seed = cells_per_seed
+        self._cells_per_seed = Counter(seed for _, seed in cells)
         self._lock = threading.Lock()
         self._live: dict[int, list] = {}  # seed -> [state, cells left]
 
@@ -527,7 +578,7 @@ class _SeedCache:
         with self._lock:
             slot = self._live.get(seed)
             if slot is None:
-                slot = self._live[seed] = [self._build(seed), self._cells_per_seed]
+                slot = self._live[seed] = [self._build(seed), self._cells_per_seed[seed]]
             return slot[0]
 
     def release(self, seed: int) -> None:
@@ -570,7 +621,11 @@ def run_polynomial_sweep(
         )
         return ds, truth
 
-    cache = _SeedCache(build, len(p_grid))
+    # Seed-major, so each seed's cells run together and its state is dropped
+    # once they are done.
+    cells = [(int(p), seed) for seed in seeds for p in p_grid]
+    cache = _SeedCache(build, cells)
+    pinv = EstimatorPolicy()
 
     def one(p: int, seed: int) -> SweepRecord:
         ds, truth = cache.acquire(seed)
@@ -579,34 +634,14 @@ def run_polynomial_sweep(
             # fresh P-column draw and the records stay bit-identical to one.
             x = np.ascontiguousarray(ds.X[:, :p])
             xe = np.ascontiguousarray(xe_max[:, :p])
-            s = svd(x)
-            fit = _regime_fit(x, ds.Y, s.rank)
-            resid = xe @ fit.beta - ye
-            try:
-                sv = smallest_nonzero_singular_value(s)
-            except EmptySpectrumError:
-                sv = None
             gt = make_nested_ground_truth(truth, x, ds.Y)
-            bias_vec, var_vec, _ = decompose_test_errors(xe, s, gt, fit.regime)
+            fields = _cell(x, ds.Y, xe, ye, svd(x), gt, pinv)
         finally:
             cache.release(seed)
         return SweepRecord(
-            n_train=n,
-            d=p,
-            seed=seed,
-            ablation="none",
-            estimator="pinv",
-            train_mse=fit.train_mse,
-            test_mse=float(resid @ resid / xs.shape[0]),
-            smallest_nonzero_sv=sv,
-            bias_term_mean=float(np.mean(np.abs(bias_vec))),
-            variance_term_mean=float(np.mean(np.abs(var_vec))),
-            regime=fit.regime,
+            n_train=n, d=p, seed=seed, ablation="none", estimator=pinv.label(), **fields
         )
 
-    # Seed-major, so each seed's cells run together and its state is dropped
-    # once they are done.
-    cells = [(int(p), seed) for seed in seeds for p in p_grid]
     return _run_cells(cells, one)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IterationFailureError
+from .errors import DimensionMismatchError, DomainError, IterationFailureError
 
 RANK_TOLERANCE_SCALE = 1e-12
 
@@ -136,12 +136,17 @@ def svd(x, *, stack_rows: int | None = None) -> SvdResult:
     )
 
 
-def pseudoinverse_apply(x, y) -> np.ndarray:
+def pseudoinverse_apply(x, y, *, s: SvdResult | None = None) -> np.ndarray:
     """Return the minimum-norm least squares solution X^+ y.
 
     Computed mode by mode as sum_r (1/sigma_r) (u_r . y) v_r, which keeps the
     result inside the span of X's rows by construction.  A rank-zero matrix
-    maps everything to the zero vector.
+    maps everything to the zero vector.  ``s`` is ``svd(x)`` (or a truncation
+    of it) when the caller already holds it; left out, it is computed here.
+
+    Raises ``DomainError`` when the solution is not representable: some
+    1/sigma_r overflows, or beta . beta does (|beta| beyond about 1e154), as
+    happens for matrices scaled far below the targets.
     """
     x = as_matrix(x)
     y = as_vector(y)
@@ -149,9 +154,25 @@ def pseudoinverse_apply(x, y) -> np.ndarray:
         raise DimensionMismatchError(
             f"y has length {y.shape[0]} but the matrix has {x.shape[0]} rows"
         )
-    s = svd(x)
-    coeffs = (s.u_cols.T @ y) / s.singular_values
-    return s.v_cols @ coeffs
+    if s is None:
+        s = svd(x)
+    elif (s.n_rows, s.n_cols) != x.shape:
+        raise DimensionMismatchError(
+            f"factorization is {s.n_rows}x{s.n_cols} but the matrix is "
+            f"{x.shape[0]}x{x.shape[1]}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = (s.u_cols.T @ y) / s.singular_values
+        beta = s.v_cols @ coeffs
+        representable = (
+            np.isfinite(1.0 / s.singular_values).all() and np.isfinite(beta @ beta)
+        )
+    if not representable:
+        raise DomainError(
+            f"X^+ y overflows: sigma_min = {s.singular_values[-1]:.3g} "
+            f"against |y| up to {np.abs(y).max():.3g}"
+        )
+    return beta
 
 
 def truncate_svd(s: SvdResult, cutoff: float) -> SvdResult:

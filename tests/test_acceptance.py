@@ -7,6 +7,7 @@ is computed once in conftest and shared.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,35 @@ def test_double_descent_spike(threshold_sweep):
         vs_under >= 5.0 and vs_over >= 5.0,
         f"median test MSE {at_32:.4g} at n=32 vs {at_16:.4g} at n=16 "
         f"({vs_over:.1f}x) and {at_96:.4g} at n=96 ({vs_under:.1f}x), need 5x",
+    )
+
+
+def min_norm_risk(n: int, d: int, noise_var: float) -> float:
+    """Expected test MSE of the minimum-norm fit on isotropic Gaussian data
+    with |beta| = 1, noisy test targets included (Belkin, Hsu & Xu,
+    arXiv:1903.07571; Hastie et al., arXiv:1903.08560); finite only for
+    |n - d| >= 2."""
+    if n > d + 1:
+        return noise_var + noise_var * d / (n - d - 1)
+    if n < d - 1:
+        return noise_var + (1.0 - n / d) + noise_var * n / (d - n - 1)
+    raise ValueError(f"risk is infinite at n={n}, d={d}")
+
+
+def test_closed_form_min_norm_risk(threshold_sweep):
+    ok = True
+    parts = []
+    for n in (8, 16, 64, 96):
+        vals = np.array([r.test_mse for r in threshold_sweep.records if r.n_train == n])
+        mean = float(vals.mean())
+        se = float(vals.std(ddof=1)) / math.sqrt(vals.size)
+        risk = min_norm_risk(n, HEADLINE["d"], HEADLINE["noise_sd"] ** 2)
+        ok &= abs(mean - risk) <= 4.0 * se
+        parts.append(f"n={n} {mean:.4g} vs {risk:.4g} ({abs(mean - risk) / se:.2f} SE)")
+    _report(
+        "closed-form minimum-norm risk",
+        ok,
+        "mean test MSE " + "; ".join(parts) + ", need <= 4 SE",
     )
 
 
@@ -136,7 +166,7 @@ def test_decomposition_exactness():
         y = x @ beta + e
         x_test = rng.standard_normal(d)
         gt = make_ground_truth(x, y, x, y)
-        dec = decompose_test_error(x_test, svd(x), gt, regime_of(n, d))
+        dec = decompose_test_error(x_test, x, y, svd(x), gt, regime_of(n, d))
         fit = fit_pinv(x, y)
         y_star = float(x_test @ gt.beta_star)
         observed = float(x_test @ fit.beta) - y_star

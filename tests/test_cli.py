@@ -15,9 +15,15 @@ from descent_lab.cli import (
     _parse_grid,
     _parse_seeds,
 )
+from descent_lab.data import _legendre_matrix, make_polynomial_dataset, polynomial_target
+from descent_lab.decomposition import (
+    decompose_test_errors,
+    factor_nested_ground_truth,
+    make_nested_ground_truth,
+)
 from descent_lab.errors import ConfigError
-from descent_lab.experiments import SweepRecord
-from descent_lab.linalg import pseudoinverse_apply
+from descent_lab.experiments import SweepRecord, _regime_fit
+from descent_lab.linalg import pseudoinverse_apply, svd
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -189,6 +195,45 @@ def test_polyfit_records_ignore_thread_count(tmp_path, monkeypatch):
     one = (tmp_path / "1" / "records.csv").read_bytes()
     assert one == (tmp_path / "2" / "records.csv").read_bytes()
     assert one.count(b"\n") == 1 + 60 * 4
+
+
+def test_polyfit_records_match_the_per_cell_computation(tmp_path):
+    # Seeds 0:1 of the documented polyfit command, byte for byte, against
+    # each cell computed apart from the sweep: its own regime fit (which
+    # factors the slice again where it falls back to the pseudoinverse),
+    # then the nested ground truth and the decomposition.  Sharing the cell
+    # SVD with the fit must not move a single bit of records.csv.
+    out = tmp_path / "poly"
+    argv = ["polyfit", "--n", "30", "--p-grid", "1:200", "--noise-sd", "0.5",
+            "--seeds", "0:1", "--out", str(out)]
+    assert main(argv) == 0
+    xs = np.linspace(-1.0, 1.0, 1000)
+    ye, xe_max = polynomial_target(xs), _legendre_matrix(xs, 200)
+    records = []
+    for seed in (0, 1):
+        ds = make_polynomial_dataset(30, 200, 0.5, seed)
+        truth = factor_nested_ground_truth(
+            np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+        )
+        for p in range(1, 201):
+            x = np.ascontiguousarray(ds.X[:, :p])
+            xe = np.ascontiguousarray(xe_max[:, :p])
+            s = svd(x)
+            fit = _regime_fit(x, ds.Y)
+            resid = xe @ fit.beta - ye
+            gt = make_nested_ground_truth(truth, x, ds.Y)
+            bias, var, _ = decompose_test_errors(xe, x, ds.Y, s, gt, fit.regime)
+            records.append(SweepRecord(
+                n_train=30, d=p, seed=seed, ablation="none", estimator="pinv",
+                train_mse=fit.train_mse, test_mse=float(resid @ resid / 1000),
+                smallest_nonzero_sv=float(s.singular_values[-1]),
+                bias_term_mean=float(np.mean(np.abs(bias))),
+                variance_term_mean=float(np.mean(np.abs(var))),
+                regime=fit.regime,
+            ))
+    records.sort(key=lambda r: (r.n_train, r.seed, r.d))
+    write_records_csv(tmp_path / "want.csv", records)
+    assert (out / "records.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_readme_diabetes_command_runs(tmp_path, monkeypatch):

@@ -12,9 +12,14 @@ from descent_lab.decomposition import (
     make_nested_ground_truth,
     smallest_nonzero_singular_value,
 )
-from descent_lab.errors import DimensionMismatchError, EmptySpectrumError, RegimeMismatchError
+from descent_lab.errors import (
+    DecompositionMismatchError,
+    DimensionMismatchError,
+    EmptySpectrumError,
+    RegimeMismatchError,
+)
 from descent_lab.estimators import REGIME_INTERP, REGIME_OVER, fit_pinv, regime_of
-from descent_lab.linalg import svd
+from descent_lab.linalg import SvdResult, svd, truncate_svd
 
 
 def test_identity_training_matrix_by_hand():
@@ -23,7 +28,7 @@ def test_identity_training_matrix_by_hand():
     # the bias vanishes because the row space is all of R^2.
     s = svd(np.eye(2))
     gt = GroundTruth(beta_star=np.array([1.0, 0.0]), residuals=np.array([0.0, 1.0]))
-    dec = decompose_test_error([1.0, 1.0], s, gt, REGIME_INTERP)
+    dec = decompose_test_error([1.0, 1.0], np.eye(2), [1.0, 1.0], s, gt, REGIME_INTERP)
     assert dec.bias_term == 0.0
     assert_allclose([m.contribution for m in dec.modes], [0.0, 1.0], atol=1e-15)
     assert_allclose(dec.variance_term, 1.0)
@@ -33,9 +38,9 @@ def test_identity_training_matrix_by_hand():
 def test_unseen_direction_shows_up_as_bias():
     # X = [[1, 0]] never sees the second coordinate.  With beta* = (0, 1) and
     # no residual, a test point along that blind direction is pure bias.
-    s = svd(np.array([[1.0, 0.0]]))
+    x = np.array([[1.0, 0.0]])
     gt = GroundTruth(beta_star=np.array([0.0, 1.0]), residuals=np.array([0.0]))
-    dec = decompose_test_error([0.0, 1.0], s, gt, REGIME_OVER)
+    dec = decompose_test_error([0.0, 1.0], x, [0.0], svd(x), gt, REGIME_OVER)
     assert_allclose(dec.bias_term, -1.0)
     assert_allclose(dec.variance_term, 0.0, atol=1e-15)
 
@@ -48,7 +53,7 @@ def test_noiseless_data_has_zero_variance_term():
     x_tr, y_tr = x_full[:10], y_full[:10]
     gt = make_ground_truth(x_full, y_full, x_tr, y_tr)
     s = svd(x_tr)
-    dec = decompose_test_error(rng.standard_normal(6), s, gt, regime_of(10, 6))
+    dec = decompose_test_error(rng.standard_normal(6), x_tr, y_tr, s, gt, regime_of(10, 6))
     assert abs(dec.variance_term) <= 1e-8
     assert all(abs(m.u_dot_E) <= 1e-8 for m in dec.modes)
 
@@ -93,7 +98,9 @@ def test_variance_is_the_sum_of_mode_contributions():
         y_full = x_full @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n + 20)
         gt = make_ground_truth(x_full, y_full, x_full[:n], y_full[:n])
         s = svd(x_full[:n])
-        dec = decompose_test_error(rng.standard_normal(d), s, gt, regime_of(n, d))
+        dec = decompose_test_error(
+            rng.standard_normal(d), x_full[:n], y_full[:n], s, gt, regime_of(n, d)
+        )
         total = sum(m.contribution for m in dec.modes)
         assert abs(dec.variance_term - total) <= 1e-12 * max(1.0, abs(total))
         assert abs(dec.predicted_error - (dec.bias_term + dec.variance_term)) <= 1e-12
@@ -109,16 +116,77 @@ def test_decomposition_matches_estimator_error_directly():
     beta_hat = fit_pinv(x_tr, y_tr).beta
     for i in range(40, 50):
         xt = x_full[i]
-        dec = decompose_test_error(xt, s, gt, regime_of(6, 8))
+        dec = decompose_test_error(xt, x_tr, y_tr, s, gt, regime_of(6, 8))
         observed = float(xt @ beta_hat - xt @ gt.beta_star)
         assert abs(dec.predicted_error - observed) <= 1e-8 * max(1.0, abs(observed))
 
 
+def test_crosscheck_catches_wrong_decompositions():
+    # Test doubles of a wrong decomposition: the factorization with one mode
+    # dropped, and residuals of the wrong sign.  The least squares fit on the
+    # raw training rows disagrees with both.  (Flipped residuals slipped past
+    # a refit on targets rebuilt as X beta_star + E from the same residuals.)
+    rng = np.random.default_rng(29)
+    x_full = rng.standard_normal((40, 8))
+    y_full = x_full @ rng.standard_normal(8) + 0.5 * rng.standard_normal(40)
+    tests = x_full[30:]
+    for n in (5, 8, 20):
+        x, y = x_full[:n], y_full[:n]
+        gt = make_ground_truth(x_full, y_full, x, y)
+        s = svd(x)
+        regime = regime_of(n, 8)
+        decompose_test_errors(tests, x, y, s, gt, regime)  # the real thing passes
+        for drop in range(s.rank):
+            keep = np.arange(s.rank) != drop
+            dropped = SvdResult(
+                s.u_cols[:, keep], s.singular_values[keep], s.v_cols[:, keep],
+                s.rank - 1, s.rank_tolerance,
+            )
+            with pytest.raises(DecompositionMismatchError):
+                decompose_test_errors(tests, x, y, dropped, gt, regime)
+        flipped = GroundTruth(beta_star=gt.beta_star, residuals=-gt.residuals)
+        with pytest.raises(DecompositionMismatchError):
+            decompose_test_errors(tests, x, y, s, flipped, regime)
+        with pytest.raises(DecompositionMismatchError):
+            decompose_test_error(tests[0], x, y, s, flipped, regime)
+
+
+def test_crosscheck_follows_a_truncated_factorization():
+    # A truncated SVD is checked against least squares on the original rows
+    # cut at the truncation, down to keeping no mode at all.
+    rng = np.random.default_rng(30)
+    x_full = rng.standard_normal((60, 6))
+    y_full = x_full @ rng.standard_normal(6) + 0.3 * rng.standard_normal(60)
+    x, y = x_full[:9], y_full[:9]
+    gt = make_ground_truth(x_full, y_full, x, y)
+    s = svd(x)
+    sv = s.singular_values
+    # cutoffs in the gaps: one within rounding of a sigma is a coin toss
+    # between two LAPACK drivers, and the check then fails loudly
+    for cutoff in (0.0, float(sv[2] + sv[3]) / 2, float(sv[0]) * 2):
+        t = truncate_svd(s, cutoff)
+        bias, var, pred = decompose_test_errors(x_full[40:], x, y, t, gt, regime_of(9, 6))
+        beta_hat = fit_pinv(x, y, s=t).beta
+        assert_allclose(pred, x_full[40:] @ (beta_hat - gt.beta_star), atol=1e-10)
+    assert t.rank == 0 and np.all(var == 0)
+
+
+def test_training_rows_must_match_the_factorization():
+    rng = np.random.default_rng(31)
+    x, y = rng.standard_normal((5, 3)), rng.standard_normal(5)
+    gt = make_ground_truth(x, y, x, y)
+    s = svd(x)
+    with pytest.raises(DimensionMismatchError):
+        decompose_test_errors(x, x[:4], y[:4], s, gt, regime_of(5, 3))
+    with pytest.raises(DimensionMismatchError):
+        decompose_test_error(x[0], x, y[:4], s, gt, regime_of(5, 3))
+
+
 def test_regime_mismatch_is_rejected():
-    s = svd(np.ones((2, 3)))
+    x = np.ones((2, 3))
     gt = GroundTruth(beta_star=np.zeros(3), residuals=np.zeros(2))
     with pytest.raises(RegimeMismatchError):
-        decompose_test_error([1.0, 0.0, 0.0], s, gt, REGIME_INTERP)
+        decompose_test_error([1.0, 0.0, 0.0], x, np.zeros(2), svd(x), gt, REGIME_INTERP)
 
 
 def test_halving_a_singular_value_doubles_its_contribution():
@@ -127,12 +195,13 @@ def test_halving_a_singular_value_doubles_its_contribution():
     s = svd(x)
     gt = GroundTruth(beta_star=rng.standard_normal(9), residuals=rng.standard_normal(5))
     xt = rng.standard_normal(9)
-    base = decompose_test_error(xt, s, gt, REGIME_OVER)
+    base = decompose_test_error(xt, x, x @ gt.beta_star + gt.residuals, s, gt, REGIME_OVER)
 
     shrunk = s.singular_values.copy()
     shrunk[-1] *= 0.5
     x2 = (s.u_cols * shrunk) @ s.v_cols.T
-    dec2 = decompose_test_error(xt, svd(x2), gt, REGIME_OVER)
+    y2 = x2 @ gt.beta_star + gt.residuals
+    dec2 = decompose_test_error(xt, x2, y2, svd(x2), gt, REGIME_OVER)
     assert_allclose(
         dec2.modes[-1].contribution, 2.0 * base.modes[-1].contribution, rtol=1e-6
     )
@@ -174,9 +243,9 @@ def test_batch_decomposition_matches_scalar():
         s = svd(x_tr)
         regime = regime_of(n, 7)
         tests = x_full[40:]
-        bias, var, pred = decompose_test_errors(tests, s, gt, regime)
+        bias, var, pred = decompose_test_errors(tests, x_tr, y_tr, s, gt, regime)
         for i, xt in enumerate(tests):
-            dec = decompose_test_error(xt, s, gt, regime)
+            dec = decompose_test_error(xt, x_tr, y_tr, s, gt, regime)
             assert_allclose(bias[i], dec.bias_term, atol=1e-12)
             assert_allclose(var[i], dec.variance_term, rtol=1e-9, atol=1e-12)
             assert_allclose(pred[i], dec.predicted_error, rtol=1e-9, atol=1e-12)
@@ -199,7 +268,9 @@ def test_ill_conditioned_polynomial_instance_still_balances():
         ds.Y,
     )
     s = svd(ds.X)
-    bias, var, pred = decompose_test_errors(dense_x[:50], s, gt, regime_of(46, 46))
+    bias, var, pred = decompose_test_errors(
+        dense_x[:50], ds.X, ds.Y, s, gt, regime_of(46, 46)
+    )
     assert np.isfinite(pred).all()
 
 

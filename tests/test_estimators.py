@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from descent_lab.errors import DivergenceError, DomainError, RankDeficientError
+from descent_lab.errors import (
+    DimensionMismatchError,
+    DivergenceError,
+    DomainError,
+    RankDeficientError,
+)
 from descent_lab.estimators import (
     REGIME_INTERP,
     REGIME_OVER,
@@ -15,7 +20,7 @@ from descent_lab.estimators import (
     fit_ridge,
     regime_of,
 )
-from descent_lab.linalg import pseudoinverse_apply, svd
+from descent_lab.linalg import pseudoinverse_apply, svd, truncate_svd
 
 
 def test_regime_labels():
@@ -173,13 +178,38 @@ def test_ridge_rejects_nonpositive_lambda():
         fit_ridge([[1.0]], [1.0], -1.0)
 
 
-def test_ridge_vanishing_lambda_reports_singularity():
-    # lambda far below the float precision of the Gram entries leaves an
-    # exactly singular system; that must surface as a package error, not a
-    # bare numpy one
+def test_ridge_vanishing_lambda_stays_on_the_retained_modes():
+    # lambda far below the float precision of the Gram entries left the old
+    # Gram solve exactly singular; on the singular modes it is just a tiny
+    # shift of sigma^2, and the fit is the pseudoinverse one
     x = np.array([[185359.0], [185359.0]])
-    with pytest.raises(RankDeficientError):
-        fit_ridge(x, [0.0, 0.0], 1e-6)
+    assert_allclose(fit_ridge(x, [0.0, 0.0], 1e-6).beta, [0.0], atol=0)
+    assert_allclose(fit_ridge(x, [1.0, 1.0], 1e-6).beta, fit_pinv(x, [1.0, 1.0]).beta, rtol=1e-12)
+
+
+def test_ridge_drops_the_modes_the_pseudoinverse_drops():
+    # sigma = 1e-6 sits under the rank tolerance 3 * 1e-12 * sigma_max, so
+    # X^+ y is zero; ridge keeps no direction the pseudoinverse discards
+    x = np.array([[1e-6, 0.0, 0.0], [0.0, 3.33334e5, 0.0]])
+    assert svd(x).rank == 1
+    assert_allclose(fit_ridge(x, [1.0, 0.0], 1e-6 * 3.33334e5**2).beta, np.zeros(3), atol=0)
+
+
+def test_fits_from_a_given_factorization():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((6, 9))
+    y = rng.standard_normal(6)
+    s = svd(x)
+    assert np.array_equal(fit_pinv(x, y, s=s).beta, fit_pinv(x, y).beta)
+    assert np.array_equal(fit_ridge(x, y, 0.7, s=s).beta, fit_ridge(x, y, 0.7).beta)
+    # the textbook form agrees with the modal one on a full-rank matrix
+    want = x.T @ np.linalg.solve(x @ x.T + 0.7 * np.eye(6), y)
+    assert_allclose(fit_ridge(x, y, 0.7).beta, want, rtol=1e-10)
+    # a truncated factorization fits on its own modes only
+    t = truncate_svd(s, float(s.singular_values[2] + s.singular_values[3]) / 2)
+    assert_allclose(fit_pinv(x, y, s=t).beta, t.v_cols @ ((t.u_cols.T @ y) / t.singular_values))
+    with pytest.raises(DimensionMismatchError):
+        fit_pinv(x[:5], y[:5], s=s)
 
 
 def test_train_mse_is_what_it_says():

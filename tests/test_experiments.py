@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from descent_lab import experiments
+import descent_lab
+from descent_lab import decomposition, estimators, experiments, linalg
 from descent_lab.data import (
     _legendre_matrix,
     make_polynomial_dataset,
@@ -152,7 +155,7 @@ def _poly_cell_reference(p, n, seed, noise_sd):
     fit = _regime_fit(ds.X, ds.Y)
     resid = xe @ fit.beta - ye
     gt = make_ground_truth(np.vstack([ds.X, xe]), np.concatenate([ds.Y, ye]), ds.X, ds.Y)
-    bias, var, _ = decompose_test_errors(xe, s, gt, fit.regime)
+    bias, var, _ = decompose_test_errors(xe, ds.X, ds.Y, s, gt, fit.regime)
     exact = (p, seed, fit.train_mse, float(resid @ resid / 1000),
              float(s.singular_values[-1]), fit.regime)
     return exact, (float(np.mean(np.abs(bias))), float(np.mean(np.abs(var))))
@@ -187,6 +190,77 @@ def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
     assert not out.failures and len(out.records) == 20
     # one fill per seed, also when several threads reach a seed at once
     assert calls == [(1006, 12)] * 4
+
+
+def _count_calls(monkeypatch, home, name):
+    """Wrap ``home.name`` in every package module that binds it; returns the
+    log of its first arguments' shapes."""
+    calls = []
+    original = getattr(home, name)
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    for module in (descent_lab, linalg, estimators, decomposition, experiments):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+VARIANTS = {
+    "none": {},
+    "sv-cutoff": dict(ablation=AblationKind("sv-cutoff")),
+    "test-projection": dict(ablation=AblationKind("test-projection")),
+    "linearized-targets": dict(ablation=AblationKind("linearized-targets")),
+    "ridge:auto": dict(estimator=parse_estimator("ridge:auto")),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sweep_fits_ground_truth_per_seed_and_factors_each_cell_once(monkeypatch, variant):
+    cfg = small_config(seeds=[0, 1, 2], **VARIANTS[variant])
+    plan = experiments._prepare(cfg)  # the cutoff pre-pass is not a cell
+    svds = _count_calls(monkeypatch, linalg, "svd")
+    truths = _count_calls(monkeypatch, decomposition, "make_ground_truth")
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "3")
+    out = run_sweep(cfg, _plan=plan)
+    assert not out.failures
+    # one beta_star per seed, on its 24 pool rows and 256 test rows, also
+    # when several threads reach a seed at once; one SVD per cell, n = D
+    # included, plus the one inside each seed's ground truth
+    assert truths == [(24 + 256, 8)] * 3
+    cells = [(n, 8) for n in SMALL["grid"]] * 3
+    assert sorted(svds) == sorted(cells + truths)
+
+
+def test_seed_state_holds_under_a_thread_storm(monkeypatch):
+    # Eight threads switching every microsecond over four seeds, one of them
+    # listed twice: each distinct seed's state is built once and outlives
+    # all of its cells, so a lost update on the cell count would show as a
+    # rebuild or a failed cell.
+    truths = _count_calls(monkeypatch, decomposition, "make_ground_truth")
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = run_sweep(small_config(seeds=[0, 1, 0, 2]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not out.failures and len(out.records) == 4 * len(SMALL["grid"])
+    assert len(truths) == 3
+    twice = [r for r in out.records if r.seed == 0]
+    assert twice[0::2] == twice[1::2]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_cell_matches_the_sweep_record(variant):
+    cfg = small_config(seeds=[0, 3], **VARIANTS[variant])
+    out = run_sweep(cfg)
+    assert not out.failures
+    for r in out.records:
+        if r.n_train in (2, 7, 8, 9, 24):
+            assert run_cell(cfg, r.n_train, r.seed) == r
 
 
 def test_polynomial_sweep_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from descent_lab.errors import DimensionMismatchError
+from descent_lab.errors import DimensionMismatchError, DomainError
 from descent_lab.linalg import (
     RANK_TOLERANCE_SCALE,
     _fix_signs,
@@ -200,6 +200,21 @@ def test_pinv_matches_lstsq():
         ours = pseudoinverse_apply(x, y)
         ref = np.linalg.lstsq(x, y, rcond=None)[0]
         assert_allclose(ours, ref, atol=1e-9)
+
+
+def test_pinv_rejects_an_overflowing_solution():
+    # sigma ~ 2e-219 against targets of order one puts |X^+ y| near 1e219,
+    # whose square overflows; that must fail loudly, not come back as a beta
+    # with an infinite norm
+    rng = np.random.default_rng(7)
+    x = 2e-219 * rng.standard_normal((4, 3))
+    with pytest.raises(DomainError):
+        pseudoinverse_apply(x, rng.standard_normal(4))
+    # a representable solution at the same scale still comes back
+    beta = pseudoinverse_apply(x, 1e-300 * rng.standard_normal(4))
+    assert np.isfinite(beta @ beta)
+    # as does one of an ordinary matrix against modest targets
+    assert np.isfinite(pseudoinverse_apply(1e-150 * np.eye(2), [1.0, 1.0])).all()
 
 
 def test_pinv_dimension_mismatch():
