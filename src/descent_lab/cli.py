@@ -111,9 +111,11 @@ def write_records_csv(path, records) -> None:
 
 
 def config_hash(config: dict) -> str:
-    """Stable digest of the canonicalized config; the timestamp never
-    participates."""
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """Stable digest of the canonicalized config.  Neither the timestamp nor
+    the output directory (``out``) participates, so an experiment hashes the
+    same wherever it is written."""
+    experiment = {k: v for k, v in config.items() if k != "out"}
+    canon = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -240,6 +242,7 @@ def cmd_sweep(args) -> int:
             "seeds": list(config.seeds),
             "ablation": plan.ablation.label(),
             "threads": worker_count(),
+            "blas_threads": outcome.blas_threads,
         },
     }
     outputs.append("manifest.json")
@@ -304,7 +307,12 @@ def cmd_polyfit(args) -> int:
             {"p": f.n_train, "seed": f.seed, "error": f.error}
             for f in outcome.failures
         ],
-        "resolved": {"p_grid": p_grid, "seeds": seeds, "threads": worker_count()},
+        "resolved": {
+            "p_grid": p_grid,
+            "seeds": seeds,
+            "threads": worker_count(),
+            "blas_threads": outcome.blas_threads,
+        },
     }
     outputs.append("manifest.json")
     write_manifest(out_dir / "manifest.json", "polyfit", cfg, outputs, extra=extra)

@@ -33,8 +33,11 @@ is what actually flattens the peak-to-tail ratio.
 
 Cells are independent pure computations, so they may run in any order and on
 any number of threads; results are merged and sorted by (n_train, seed) at
-the end, making the output deterministic for a given configuration.  The
-environment variable ``DESCENT_LAB_THREADS`` caps the worker count.
+the end, making the output deterministic for a given configuration.  Pool
+threads run the cells (``DESCENT_LAB_THREADS`` of them, default min(8,
+cpus)), and while a sweep runs, BLAS is held to one thread
+(``linalg.one_blas_thread``), so every cell's LAPACK and BLAS calls run on the
+pool thread that called them.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .decomposition import (
 )
 from .errors import ConfigError, EmptySpectrumError, RankDeficientError
 from .estimators import fit_min_norm, fit_ols_under, fit_pinv, fit_ridge
-from .linalg import SvdResult, svd, truncate_svd
+from .linalg import SvdResult, one_blas_thread, svd, truncate_svd
 
 N_TEST_SYNTHETIC = 256
 DENSE_EVAL_POINTS = 1000
@@ -217,10 +220,12 @@ class CellFailure:
 
 @dataclass
 class SweepOutcome:
-    """All records of a sweep (sorted by n_train, seed) plus any failures."""
+    """All records of a sweep (sorted by n_train, seed) plus any failures, and
+    the BLAS thread count the cells ran with (None: BLAS left as it was)."""
 
     records: list[SweepRecord]
     failures: list[CellFailure] = field(default_factory=list)
+    blas_threads: int | None = None
 
 
 @dataclass
@@ -507,11 +512,13 @@ def run_cell(config: SweepConfig, n_train: int, seed: int) -> SweepRecord:
     """Run one (n_train, seed) cell and record everything about it; the
     record equals the sweep's for the same cell."""
     plan = _prepare(config)
-    return _linear_cell(plan, _seed_state(plan, seed), n_train, seed)
+    with one_blas_thread():
+        return _linear_cell(plan, _seed_state(plan, seed), n_train, seed)
 
 
 def _run_cells(cells, one) -> SweepOutcome:
-    """Run the cells on the worker pool and merge deterministically."""
+    """Run the cells on the worker pool, BLAS held to one thread, and merge
+    deterministically."""
     records: list[SweepRecord] = []
     failures: list[CellFailure] = []
 
@@ -522,11 +529,12 @@ def _run_cells(cells, one) -> SweepOutcome:
             return None, CellFailure(cell[0], cell[1], f"{type(exc).__name__}: {exc}")
 
     workers = worker_count()
-    if workers == 1:
-        results = [guarded(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(guarded, cells))
+    with one_blas_thread() as blas_threads:
+        if workers == 1:
+            results = [guarded(c) for c in cells]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(guarded, cells))
     for rec, fail in results:
         if rec is not None:
             records.append(rec)
@@ -534,7 +542,7 @@ def _run_cells(cells, one) -> SweepOutcome:
             failures.append(fail)
     records.sort(key=lambda r: (r.n_train, r.seed, r.d))
     failures.sort(key=lambda f: (f.n_train, f.seed))
-    return SweepOutcome(records=records, failures=failures)
+    return SweepOutcome(records=records, failures=failures, blas_threads=blas_threads)
 
 
 def run_sweep(config: SweepConfig, *, _plan: _Plan | None = None) -> SweepOutcome:

@@ -13,10 +13,19 @@ Everything downstream (estimators, error decomposition, sweeps) is built on the
   reproducible fixtures rather than sign lotteries.
 
 Matrices are data-by-features: rows are observations, columns are features.
+
+``one_blas_thread`` holds the BLAS numpy loaded to one thread for a block of
+code, so callers that already run many small factorizations on a thread pool
+do not have each call spread over BLAS threads of its own as well.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,3 +214,77 @@ def project_onto_rowspace(x, s: SvdResult) -> np.ndarray:
             f"x has length {x.shape[0]} but the factorization has {s.n_cols} columns"
         )
     return s.v_cols @ (s.v_cols.T @ x)
+
+
+# (prefix, suffix) of OpenBLAS's thread-count calls: a plain build, and the
+# scipy-openblas64 build that numpy wheels bundle.
+_OPENBLAS_SYMBOLS = (("openblas", ""), ("scipy_openblas", "64_"))
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS this process has
+    loaded, found through ``/proc/self/maps``; empty where there is none (no
+    OpenBLAS, or no such map on this platform)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    controls = []
+    for path in paths:
+        try:
+            # RTLD_NOLOAD: a handle on the copy already mapped, never a new one.
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOW | os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+# The BLAS thread count is process-wide, so the limit's holder count and the
+# saved counts are too.
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list[int] = []
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS held to one thread.
+
+    Yields the BLAS thread count inside the block: 1, or None where no
+    OpenBLAS thread control was found, in which case nothing changes.
+    Nested and concurrent blocks share one limit: the first entry saves the
+    counts and sets 1, the last exit restores them, also when a block raises.
+    The count is process-wide, so BLAS calls on other threads meanwhile run
+    on one thread too.
+    """
+    global _blas_holders, _blas_saved
+    controls = _openblas_controls()
+    if not controls:
+        yield None
+        return
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = [get() for get, _ in controls]
+            for _, set_ in controls:
+                set_(1)
+        _blas_holders += 1
+    try:
+        yield 1
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for (_, set_), n in zip(controls, _blas_saved):
+                    set_(n)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from descent_lab import linalg
 from descent_lab.cli import (
     CSV_HEADER,
     config_hash,
@@ -81,6 +82,12 @@ def test_config_hash_is_stable_and_sensitive():
     assert config_hash(a) != config_hash({**a, "noise_sd": 0.3})
 
 
+def held_blas_threads():
+    """The BLAS thread count sweeps run with: 1, or None without an
+    OpenBLAS to hold."""
+    return 1 if linalg._openblas_controls() else None
+
+
 def read_csv_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -118,12 +125,13 @@ def test_sweep_end_to_end(tmp_path):
     assert manifest["cells_failed"] == 0
     assert manifest["resolved"]["ablation"] == "none"
     assert manifest["resolved"]["d"] == 8
+    assert manifest["resolved"]["blas_threads"] == held_blas_threads()
     assert "records.csv" in manifest["output_paths"]
     assert "manifest.json" in manifest["output_paths"]
 
-    # the hash tracks the configuration, not the run
+    # the hash tracks the experiment, not the run or where it was written
     m2 = json.loads((out2 / "manifest.json").read_text())
-    assert m2["config_hash"] != manifest["config_hash"]  # --out differs
+    assert m2["config_hash"] == manifest["config_hash"]
     out3 = tmp_path / "c"
     assert main(args + ["--seeds", "0:5", "--out", str(out3)]) == 0
     m3 = json.loads((out3 / "manifest.json").read_text())
@@ -178,6 +186,8 @@ def test_polyfit_end_to_end(tmp_path):
             assert float(r["train_mse"]) <= 1e-8
     for svg in ("test-mse-vs-p.svg", "fitted-curves.svg"):
         assert parse_svg(out / svg).documentElement.tagName == "svg"
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert resolved["blas_threads"] == held_blas_threads()
 
     out2 = tmp_path / "poly2"
     main([
@@ -197,12 +207,47 @@ def test_polyfit_records_ignore_thread_count(tmp_path, monkeypatch):
     assert one.count(b"\n") == 1 + 60 * 4
 
 
+def test_polyfit_records_ignore_the_blas_thread_count(tmp_path):
+    # The process's BLAS count before the sweep must not reach the records.
+    # Seed 2 is in the range because at P = 190 its variance column moves
+    # in the last printed digit between one and two BLAS threads.
+    controls = linalg._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = controls[0]
+    before = get()
+    argv = ["polyfit", "--n", "30", "--p-grid", "1:200", "--noise-sd", "0.5",
+            "--seeds", "0:2"]
+    try:
+        for count in (1, 2):
+            set_(count)
+            assert main(argv + ["--out", str(tmp_path / str(count))]) == 0
+            assert get() == count
+    finally:
+        set_(before)
+    one = (tmp_path / "1" / "records.csv").read_bytes()
+    assert one == (tmp_path / "2" / "records.csv").read_bytes()
+
+
+def test_sweep_without_blas_control_writes_the_same_records(tmp_path, monkeypatch):
+    # Where no OpenBLAS can be held the limit does nothing, and says so.
+    args = ["sweep", "--d", "8", "--grid", "2:24", "--seeds", "0:4"]
+    assert main(args + ["--out", str(tmp_path / "held")]) == 0
+    monkeypatch.setattr(linalg, "_openblas_controls", lambda: ())
+    assert main(args + ["--out", str(tmp_path / "free")]) == 0
+    held, free = tmp_path / "held", tmp_path / "free"
+    assert (held / "records.csv").read_bytes() == (free / "records.csv").read_bytes()
+    resolved = json.loads((free / "manifest.json").read_text())["resolved"]
+    assert resolved["blas_threads"] is None
+
+
 def test_polyfit_records_match_the_per_cell_computation(tmp_path):
     # Seeds 0:1 of the documented polyfit command, byte for byte, against
     # each cell computed apart from the sweep: its own regime fit (which
     # factors the slice again where it falls back to the pseudoinverse),
     # then the nested ground truth and the decomposition.  Sharing the cell
-    # SVD with the fit must not move a single bit of records.csv.
+    # SVD with the fit must not move a single bit of records.csv.  The cells
+    # are computed on one BLAS thread, as the sweep runs them.
     out = tmp_path / "poly"
     argv = ["polyfit", "--n", "30", "--p-grid", "1:200", "--noise-sd", "0.5",
             "--seeds", "0:1", "--out", str(out)]
@@ -210,27 +255,28 @@ def test_polyfit_records_match_the_per_cell_computation(tmp_path):
     xs = np.linspace(-1.0, 1.0, 1000)
     ye, xe_max = polynomial_target(xs), _legendre_matrix(xs, 200)
     records = []
-    for seed in (0, 1):
-        ds = make_polynomial_dataset(30, 200, 0.5, seed)
-        truth = factor_nested_ground_truth(
-            np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
-        )
-        for p in range(1, 201):
-            x = np.ascontiguousarray(ds.X[:, :p])
-            xe = np.ascontiguousarray(xe_max[:, :p])
-            s = svd(x)
-            fit = _regime_fit(x, ds.Y)
-            resid = xe @ fit.beta - ye
-            gt = make_nested_ground_truth(truth, x, ds.Y)
-            bias, var, _ = decompose_test_errors(xe, x, ds.Y, s, gt, fit.regime)
-            records.append(SweepRecord(
-                n_train=30, d=p, seed=seed, ablation="none", estimator="pinv",
-                train_mse=fit.train_mse, test_mse=float(resid @ resid / 1000),
-                smallest_nonzero_sv=float(s.singular_values[-1]),
-                bias_term_mean=float(np.mean(np.abs(bias))),
-                variance_term_mean=float(np.mean(np.abs(var))),
-                regime=fit.regime,
-            ))
+    with linalg.one_blas_thread():
+        for seed in (0, 1):
+            ds = make_polynomial_dataset(30, 200, 0.5, seed)
+            truth = factor_nested_ground_truth(
+                np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+            )
+            for p in range(1, 201):
+                x = np.ascontiguousarray(ds.X[:, :p])
+                xe = np.ascontiguousarray(xe_max[:, :p])
+                s = svd(x)
+                fit = _regime_fit(x, ds.Y)
+                resid = xe @ fit.beta - ye
+                gt = make_nested_ground_truth(truth, x, ds.Y)
+                bias, var, _ = decompose_test_errors(xe, x, ds.Y, s, gt, fit.regime)
+                records.append(SweepRecord(
+                    n_train=30, d=p, seed=seed, ablation="none", estimator="pinv",
+                    train_mse=fit.train_mse, test_mse=float(resid @ resid / 1000),
+                    smallest_nonzero_sv=float(s.singular_values[-1]),
+                    bias_term_mean=float(np.mean(np.abs(bias))),
+                    variance_term_mean=float(np.mean(np.abs(var))),
+                    regime=fit.regime,
+                ))
     records.sort(key=lambda r: (r.n_train, r.seed, r.d))
     write_records_csv(tmp_path / "want.csv", records)
     assert (out / "records.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -251,6 +252,78 @@ def test_seed_state_holds_under_a_thread_storm(monkeypatch):
     assert len(truths) == 3
     twice = [r for r in out.records if r.seed == 0]
     assert twice[0::2] == twice[1::2]
+
+
+def _spy_cells(monkeypatch, before_cell):
+    """Run ``before_cell(plan, n_train, seed)`` at the start of every linear
+    sweep cell."""
+    cell = experiments._linear_cell
+
+    def spying(plan, state, n_train, seed):
+        before_cell(plan, n_train, seed)
+        return cell(plan, state, n_train, seed)
+
+    monkeypatch.setattr(experiments, "_linear_cell", spying)
+
+
+def test_cells_run_on_one_blas_thread(monkeypatch, blas_count):
+    counts = []
+    _spy_cells(monkeypatch, lambda plan, n_train, seed: counts.append(blas_count()))
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
+    out = run_sweep(small_config(seeds=[0, 1]))
+    assert not out.failures and out.blas_threads == 1
+    assert counts == [1] * len(out.records)
+    assert blas_count() == 2
+
+
+def test_blas_count_comes_back_after_a_failing_cell(monkeypatch, blas_count):
+    def fail_at_8(plan, n_train, seed):
+        if n_train == 8:
+            raise RuntimeError("cell failed on purpose")
+
+    _spy_cells(monkeypatch, fail_at_8)
+    out = run_sweep(small_config(seeds=[0]))
+    assert [(f.n_train, f.seed) for f in out.failures] == [(8, 0)]
+    assert blas_count() == 2
+    with pytest.raises(RuntimeError):
+        with linalg.one_blas_thread():
+            raise RuntimeError("block failed on purpose")
+    assert blas_count() == 2
+
+
+def test_concurrent_sweeps_share_one_blas_limit(monkeypatch, blas_count):
+    # Two sweeps on two threads: both are inside the limit at once (their
+    # first cells meet at the barrier), and seed 1's last cell runs after
+    # the seed 0 sweep has returned, so the first sweep out must not lift
+    # the limit under the other.
+    both_in, first_done = threading.Barrier(2, timeout=30), threading.Event()
+    counts = []
+
+    def meet(plan, n_train, seed):
+        if n_train == plan.grid[0]:
+            both_in.wait()
+        if seed == 1 and n_train == plan.grid[-1]:
+            assert first_done.wait(timeout=30)
+        counts.append(blas_count())
+
+    _spy_cells(monkeypatch, meet)
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
+    outs = {}
+
+    def sweep(seed):
+        outs[seed] = run_sweep(small_config(seeds=[seed]))
+        if seed == 0:
+            first_done.set()
+
+    threads = [threading.Thread(target=sweep, args=(seed,)) for seed in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert [out.failures for out in outs.values()] == [[], []]
+    assert counts == [1] * (2 * len(SMALL["grid"]))
+    assert blas_count() == 2
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,13 +1,18 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from descent_lab import linalg
 from descent_lab.errors import DimensionMismatchError, DomainError
 from descent_lab.linalg import (
     RANK_TOLERANCE_SCALE,
     _fix_signs,
     as_matrix,
     as_vector,
+    one_blas_thread,
     project_onto_rowspace,
     pseudoinverse_apply,
     svd,
@@ -289,3 +294,45 @@ def test_project_is_idempotent():
         once = project_onto_rowspace(v, s)
         twice = project_onto_rowspace(once, s)
         assert np.abs(twice - once).max() < 1e-10
+
+
+def test_one_blas_thread_nests_and_restores(blas_count):
+    with one_blas_thread() as outer:
+        assert outer == 1 and blas_count() == 1
+        with one_blas_thread() as inner:
+            assert inner == 1
+        assert blas_count() == 1  # the inner exit leaves the outer limit on
+    assert blas_count() == 2
+
+
+def test_one_blas_thread_holds_under_a_thread_storm(blas_count):
+    # Eight threads entering and leaving the limit while the interpreter
+    # switches every microsecond: every block sees one thread and the count
+    # comes back once all have left, which a lost update on the holder
+    # count would break.
+    seen = []
+
+    def churn():
+        for _ in range(200):
+            with one_blas_thread():
+                seen.append(blas_count())
+
+    threads = [threading.Thread(target=churn) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1] * 1600
+    assert blas_count() == 2
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_controls", lambda: ())
+    with one_blas_thread() as count:
+        assert count is None
