@@ -35,7 +35,14 @@ from .errors import (
     RegimeMismatchError,
 )
 from .estimators import regime_of
-from .linalg import SvdResult, as_matrix, as_vector, pseudoinverse_apply, svd
+from .linalg import (
+    SvdResult,
+    as_matrix,
+    as_vector,
+    project_onto_rowspace,
+    pseudoinverse_apply,
+    svd,
+)
 
 # The crosscheck compares the decomposition with an independent fit: LAPACK's
 # gelsd least squares solver (np.linalg.lstsq) on the original training rows
@@ -220,35 +227,19 @@ def decompose_test_error(
 ) -> ErrorDecomposition:
     """Split the prediction error at one test point into bias and variance.
 
-    ``s`` is the factorization of ``x_train`` the decomposition runs on:
-    ``svd(x_train)``, or a truncation of it, which the minimum-norm fit then
-    shares.  The result satisfies predicted_error = bias_term +
-    variance_term and is cross-checked against the prediction of an
-    independent least squares fit on (``x_train``, ``y_train``) at the same
-    rank tolerance; a mismatch beyond tolerance raises
-    ``DecompositionMismatchError`` instead of returning bad numbers.
+    ``decompose_test_errors`` on the single row ``x_test``, cross-checked
+    the same way, plus the variance sum broken into its per-mode terms.
     """
     x_test = as_vector(x_test, "x_test")
-    if x_test.shape[0] != s.n_cols:
-        raise DimensionMismatchError(
-            f"x_test has length {x_test.shape[0]}, expected {s.n_cols}"
-        )
-    x_train, y_train = _training_rows(x_train, y_train, s, gt)
-    _check_regime(s, regime)
-
-    if s.rank == s.n_cols:
-        bias = 0.0  # projector onto the row space is the identity
-    else:
-        proj_beta = s.v_cols @ (s.v_cols.T @ gt.beta_star)
-        bias = float(x_test @ (proj_beta - gt.beta_star))
-
+    (bias,), (variance,), (predicted,) = decompose_test_errors(
+        x_test[None, :], x_train, y_train, s, gt, regime
+    )
     xv = s.v_cols.T @ x_test
     ue = s.u_cols.T @ gt.residuals
     modes = []
     for r in range(s.rank):
         sigma = float(s.singular_values[r])
         inv_sigma = 1.0 / sigma
-        contribution = inv_sigma * float(xv[r]) * float(ue[r])
         modes.append(
             ModeContribution(
                 mode_index=r,
@@ -256,40 +247,30 @@ def decompose_test_error(
                 inv_sigma=inv_sigma,
                 xtest_dot_v=float(xv[r]),
                 u_dot_E=float(ue[r]),
-                contribution=contribution,
+                contribution=inv_sigma * float(xv[r]) * float(ue[r]),
             )
         )
-    variance = float(sum(m.contribution for m in modes))
-    predicted = bias + variance
-
-    # Independent route: what a least squares fit actually predicts.
-    beta_hat = _lstsq_fit(x_train, y_train, s)
-    y_star = float(x_test @ gt.beta_star)
-    observed = float(x_test @ beta_hat) - y_star
-    magnitude = max(
-        1.0, abs(y_star), abs(bias) + sum(abs(m.contribution) for m in modes)
-    )
-    if abs(predicted - observed) > _crosscheck_rel(s) * magnitude:
-        raise DecompositionMismatchError(
-            f"bias + variance = {predicted:.6g} but the estimator error is "
-            f"{observed:.6g}"
-        )
     return ErrorDecomposition(
-        bias_term=bias,
+        bias_term=float(bias),
         modes=modes,
-        variance_term=variance,
-        predicted_error=predicted,
+        variance_term=float(variance),
+        predicted_error=float(predicted),
     )
 
 
 def decompose_test_errors(
     x_test_rows, x_train, y_train, s: SvdResult, gt: GroundTruth, regime: str
 ):
-    """Vectorized decomposition over many test points at once.
+    """Split the prediction error at each test row into bias and variance.
 
-    Returns (bias, variance, predicted) arrays, one entry per test row,
-    computed with the same formulas as ``decompose_test_error`` and
-    cross-checked row by row against the same least squares fit.
+    ``s`` is the factorization of ``x_train`` the decomposition runs on:
+    ``svd(x_train)``, or a truncation of it, which the minimum-norm fit then
+    shares.  Returns (bias, variance, predicted) arrays, one entry per test
+    row, with predicted = bias + variance.  Every row is cross-checked
+    against the prediction of an independent least squares fit on
+    (``x_train``, ``y_train``) at the same rank tolerance; a mismatch beyond
+    tolerance raises ``DecompositionMismatchError`` instead of returning bad
+    numbers.
     """
     x_rows = as_matrix(x_test_rows, "x_test_rows")
     if x_rows.shape[1] != s.n_cols:
@@ -302,7 +283,7 @@ def decompose_test_errors(
     if s.rank == s.n_cols:
         bias = np.zeros(x_rows.shape[0])
     else:
-        proj_beta = s.v_cols @ (s.v_cols.T @ gt.beta_star)
+        proj_beta = project_onto_rowspace(gt.beta_star, s)
         bias = x_rows @ (proj_beta - gt.beta_star)
 
     xv = x_rows @ s.v_cols

@@ -9,10 +9,11 @@ decomposition.
 
 Each seed draws its training pool and its test set once and fits the ideal
 model beta_star once, on pool and test together; every cell of the seed
-takes its first n_train pool rows, factors them with one SVD, and fits,
-reads sigma_min, ablates and decomposes from that one factorization
-(``_cell``).  beta_star is therefore the same at every n_train of a seed,
-so the bias and variance columns compare along the curve.
+takes its first n_train pool rows, factors them with one SVD, ablates
+(``apply_ablation``), and fits, reads sigma_min and decomposes from that
+one factorization (``_cell``).  beta_star is therefore the same at every
+n_train of a seed, so the bias and variance columns compare along the
+curve.
 
 Three ablations switch off one spike ingredient each:
 
@@ -71,7 +72,7 @@ from .decomposition import (
 )
 from .errors import ConfigError, EmptySpectrumError, RankDeficientError
 from .estimators import fit_min_norm, fit_ols_under, fit_pinv, fit_ridge
-from .linalg import SvdResult, one_blas_thread, svd, truncate_svd
+from .linalg import SvdResult, one_blas_thread, project_onto_rowspace, svd, truncate_svd
 
 N_TEST_SYNTHETIC = 256
 DENSE_EVAL_POINTS = 1000
@@ -248,7 +249,6 @@ class SweepConfig:
     estimator: EstimatorPolicy = EstimatorPolicy()
     target_column: str | None = None
     standardize: bool = True
-    n_test: int = N_TEST_SYNTHETIC
     allow_narrow_grid: bool = False
 
 
@@ -336,9 +336,8 @@ def _environment(plan: _Plan, seed: int) -> tuple[Dataset, Dataset]:
     training data they saw.
     """
     if plan.csv_ds is None:
-        cfg = plan.config
         ds, _ = make_student_teacher(
-            plan.grid[-1] + cfg.n_test, plan.d, cfg.noise_sd, seed
+            plan.grid[-1] + N_TEST_SYNTHETIC, plan.d, plan.config.noise_sd, seed
         )
         return split(ds, SplitSpec(n_train=plan.grid[-1], seed=seed, shuffle=False))
     n = plan.csv_ds.n_rows
@@ -366,50 +365,24 @@ def resolve_tau(config: SweepConfig) -> float:
 
 
 def apply_ablation(
-    kind: AblationKind, train: Dataset, test: Dataset
-) -> tuple[Dataset, Dataset, str]:
-    """Apply one ablation to a (train, test) pair, returning new datasets and
-    a one-line note describing what was done.
+    kind: AblationKind, s: SvdResult, x_eval: np.ndarray
+) -> tuple[SvdResult, np.ndarray]:
+    """One cell's ablation, on the factorization ``s`` of its training rows
+    and the rows ``x_eval`` its test error is measured on.
 
-    The cutoff-style ablations need a concrete tau here; sweeps resolve the
-    default before dispatching cells.  Sweeps do not call this: they ablate
-    from the cell's own SVD and linearize with the seed's beta_star (see
-    the module docstring), where this fits beta_star on train and test.
+    sv-cutoff truncates ``s`` at tau; test-projection projects ``x_eval``
+    onto the training modes that survive tau; none and linearized-targets
+    pass both through (the targets are linearized once per seed, in
+    ``_seed_state``).  The cutoff ablations need a concrete tau; sweeps
+    resolve the default before dispatching cells.
     """
-    if train.n_cols != test.n_cols:
-        raise ConfigError("train and test feature counts differ")
-    if kind.kind == "none":
-        return train, test, "unchanged"
     if kind.needs_tau:
         raise ConfigError(f"{kind.kind} needs a resolved cutoff; see resolve_tau")
     if kind.kind == "sv-cutoff":
-        s = truncate_svd(svd(train.X), kind.tau)
-        train2 = replace_x(train, s.reconstruct())
-        return train2, test, f"kept {s.rank} training modes at cutoff {kind.tau:.6g}"
+        return truncate_svd(s, kind.tau), x_eval
     if kind.kind == "test-projection":
-        s = truncate_svd(svd(train.X), kind.tau)
-        proj = (test.X @ s.v_cols) @ s.v_cols.T
-        return train, replace_x(test, proj), (
-            f"projected test rows onto {s.rank} training modes at cutoff {kind.tau:.6g}"
-        )
-    # linearized-targets: fit the ideal model on everything in sight and
-    # replace all targets with its predictions, leaving zero residuals.
-    x_cat = np.vstack([train.X, test.X])
-    y_cat = np.concatenate([train.Y, test.Y])
-    gt = make_ground_truth(x_cat, y_cat, train.X, train.Y)
-    train2 = replace_y(train, train.X @ gt.beta_star)
-    test2 = replace_y(test, test.X @ gt.beta_star)
-    return train2, test2, f"replaced targets with the ideal fit on {x_cat.shape[0]} rows"
-
-
-def replace_x(ds: Dataset, x: np.ndarray) -> Dataset:
-    return Dataset(X=x, Y=ds.Y, feature_names=list(ds.feature_names),
-                   source=ds.source, preprocessing=ds.preprocessing, seed=ds.seed)
-
-
-def replace_y(ds: Dataset, y: np.ndarray) -> Dataset:
-    return Dataset(X=ds.X, Y=y, feature_names=list(ds.feature_names),
-                   source=ds.source, preprocessing=ds.preprocessing, seed=ds.seed)
+        return s, project_onto_rowspace(x_eval, truncate_svd(s, kind.tau))
+    return s, x_eval
 
 
 def _regime_fit(x: np.ndarray, y: np.ndarray, s: SvdResult | None = None):
@@ -476,8 +449,8 @@ def _seed_state(plan: _Plan, seed: int) -> tuple[Dataset, Dataset, np.ndarray]:
         np.vstack([pool.X, test.X]), np.concatenate([pool.Y, test.Y]), pool.X, pool.Y
     ).beta_star
     if plan.ablation.kind == "linearized-targets":
-        pool = replace_y(pool, pool.X @ beta_star)
-        test = replace_y(test, test.X @ beta_star)
+        pool = replace(pool, Y=pool.X @ beta_star)
+        test = replace(test, Y=test.X @ beta_star)
     return pool, test, beta_star
 
 
@@ -488,21 +461,14 @@ def _linear_cell(plan: _Plan, state, n_train: int, seed: int) -> SweepRecord:
             f"n_train={n_train} exceeds the {pool.n_rows}-row training pool"
         )
     x, y = pool.X[:n_train], pool.Y[:n_train]
-    s = svd(x)
-    x_eval = test.X
-    kind = plan.ablation
-    if kind.kind == "sv-cutoff":
-        s = truncate_svd(s, kind.tau)
-    elif kind.kind == "test-projection":
-        v = truncate_svd(s, kind.tau).v_cols
-        x_eval = (x_eval @ v) @ v.T
+    s, x_eval = apply_ablation(plan.ablation, svd(x), test.X)
     gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
     policy = plan.config.estimator
     return SweepRecord(
         n_train=n_train,
         d=plan.d,
         seed=seed,
-        ablation=kind.label(),
+        ablation=plan.ablation.label(),
         estimator=policy.label(),
         **_cell(x, y, x_eval, test.Y, s, gt, policy),
     )

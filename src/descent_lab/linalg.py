@@ -203,17 +203,17 @@ def truncate_svd(s: SvdResult, cutoff: float) -> SvdResult:
 
 
 def project_onto_rowspace(x, s: SvdResult) -> np.ndarray:
-    """Project a feature vector onto the span of the retained right singular
-    vectors, sum_r (x . v_r) v_r.
+    """Project a feature vector, or each row of a matrix, onto the span of
+    the retained right singular vectors: (x V) V^T, sum_r (x . v_r) v_r.
 
     Idempotent; the component orthogonal to every retained mode is removed.
     """
-    x = as_vector(x)
-    if x.shape[0] != s.n_cols:
+    x = as_vector(x) if np.ndim(x) == 1 else as_matrix(x)
+    if x.shape[-1] != s.n_cols:
         raise DimensionMismatchError(
-            f"x has length {x.shape[0]} but the factorization has {s.n_cols} columns"
+            f"x has {x.shape[-1]} features but the factorization has {s.n_cols} columns"
         )
-    return s.v_cols @ (s.v_cols.T @ x)
+    return (x @ s.v_cols) @ s.v_cols.T
 
 
 # (prefix, suffix) of OpenBLAS's thread-count calls: a plain build, and the

@@ -246,9 +246,15 @@ def test_batch_decomposition_matches_scalar():
         bias, var, pred = decompose_test_errors(tests, x_tr, y_tr, s, gt, regime)
         for i, xt in enumerate(tests):
             dec = decompose_test_error(xt, x_tr, y_tr, s, gt, regime)
-            assert_allclose(bias[i], dec.bias_term, atol=1e-12)
-            assert_allclose(var[i], dec.variance_term, rtol=1e-9, atol=1e-12)
-            assert_allclose(pred[i], dec.predicted_error, rtol=1e-9, atol=1e-12)
+            # the scalar form is the batch form on one row, exactly
+            one = decompose_test_errors(xt[None, :], x_tr, y_tr, s, gt, regime)
+            assert (dec.bias_term, dec.variance_term, dec.predicted_error) == tuple(
+                float(a[0]) for a in one
+            )
+            # BLAS may round a one-row product and a many-row product
+            # differently in the last bit
+            got = (dec.bias_term, dec.variance_term, dec.predicted_error)
+            assert_allclose(got, (bias[i], var[i], pred[i]), rtol=1e-14, atol=1e-14)
 
 
 def test_ill_conditioned_polynomial_instance_still_balances():

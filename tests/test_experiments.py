@@ -12,7 +12,6 @@ from descent_lab.data import (
     make_polynomial_dataset,
     make_student_teacher,
     polynomial_target,
-    take_rows,
 )
 from descent_lab.decomposition import decompose_test_errors, make_ground_truth
 from descent_lab.errors import ConfigError
@@ -76,33 +75,33 @@ def test_noiseless_threshold_cell_is_exact():
 
 
 def test_apply_ablation_none_is_identity():
-    tr, _ = make_student_teacher(10, 4, 0.1, seed=0)
-    train, test = take_rows(tr, slice(0, 6)), take_rows(tr, slice(6, 10))
-    t2, e2, note = apply_ablation(AblationKind(), train, test)
-    assert t2 is train and e2 is test
-    assert note == "unchanged"
+    ds, _ = make_student_teacher(10, 4, 0.1, seed=0)
+    s, x_eval = svd(ds.X[:6]), ds.X[6:]
+    # linearized-targets acts on the seed's targets, not on the cell
+    for kind in (AblationKind(), AblationKind("linearized-targets")):
+        s2, x_eval2 = apply_ablation(kind, s, x_eval)
+        assert s2 is s and x_eval2 is x_eval
 
 
 def test_projection_onto_full_rowspace_changes_nothing_visible():
     # tau = 0 keeps every training mode, and the fitted coefficients live in
     # the training row space, so projected test rows predict identically.
     ds, _ = make_student_teacher(8, 8, 0.3, seed=1)
-    train, test = take_rows(ds, slice(0, 3)), take_rows(ds, slice(3, 8))
-    _, test2, _ = apply_ablation(AblationKind("test-projection", 0.0), train, test)
-    beta = fit_pinv(train.X, train.Y).beta
-    assert_allclose(test2.X @ beta, test.X @ beta, atol=1e-10)
+    x, y, x_eval = ds.X[:3], ds.Y[:3], ds.X[3:]
+    s = svd(x)
+    s2, x_eval2 = apply_ablation(AblationKind("test-projection", 0.0), s, x_eval)
+    assert s2 is s
+    beta = fit_pinv(x, y).beta
+    assert_allclose(x_eval2 @ beta, x_eval @ beta, atol=1e-10)
     # but the rows themselves did move (the orthogonal component is gone)
-    assert not np.allclose(test2.X, test.X)
+    assert not np.allclose(x_eval2, x_eval)
 
 
 def test_linearized_targets_leave_no_residuals():
-    from descent_lab.decomposition import make_ground_truth
-
-    ds, _ = make_student_teacher(8, 3, 0.5, seed=2)
-    train, test = take_rows(ds, slice(0, 5)), take_rows(ds, slice(5, 8))
-    t2, e2, _ = apply_ablation(AblationKind("linearized-targets"), train, test)
+    plan = experiments._prepare(small_config(ablation=AblationKind("linearized-targets")))
+    pool, test, _ = experiments._seed_state(plan, 2)
     gt = make_ground_truth(
-        np.vstack([t2.X, e2.X]), np.concatenate([t2.Y, e2.Y]), t2.X, t2.Y
+        np.vstack([pool.X, test.X]), np.concatenate([pool.Y, test.Y]), pool.X, pool.Y
     )
     assert np.abs(gt.residuals).max() <= 1e-8
 
@@ -117,9 +116,9 @@ def test_sv_cutoff_floor_shows_up_in_records():
 
 def test_ablation_needs_resolved_tau():
     ds, _ = make_student_teacher(6, 3, 0.1, seed=0)
-    train, test = take_rows(ds, slice(0, 3)), take_rows(ds, slice(3, 6))
-    with pytest.raises(ConfigError):
-        apply_ablation(AblationKind("sv-cutoff"), train, test)
+    for kind in ("sv-cutoff", "test-projection"):
+        with pytest.raises(ConfigError):
+            apply_ablation(AblationKind(kind), svd(ds.X[:3]), ds.X[3:])
 
 
 def test_resolve_tau_is_positive_and_deterministic():
@@ -224,6 +223,7 @@ def test_sweep_fits_ground_truth_per_seed_and_factors_each_cell_once(monkeypatch
     plan = experiments._prepare(cfg)  # the cutoff pre-pass is not a cell
     svds = _count_calls(monkeypatch, linalg, "svd")
     truths = _count_calls(monkeypatch, decomposition, "make_ground_truth")
+    ablations = _count_calls(monkeypatch, experiments, "apply_ablation")
     monkeypatch.setenv("DESCENT_LAB_THREADS", "3")
     out = run_sweep(cfg, _plan=plan)
     assert not out.failures
@@ -233,6 +233,8 @@ def test_sweep_fits_ground_truth_per_seed_and_factors_each_cell_once(monkeypatch
     assert truths == [(24 + 256, 8)] * 3
     cells = [(n, 8) for n in SMALL["grid"]] * 3
     assert sorted(svds) == sorted(cells + truths)
+    # every cell, whatever its ablation, runs the one ablation step
+    assert len(ablations) == len(cells)
 
 
 def test_seed_state_holds_under_a_thread_storm(monkeypatch):

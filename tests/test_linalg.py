@@ -294,6 +294,20 @@ def test_project_is_idempotent():
         once = project_onto_rowspace(v, s)
         twice = project_onto_rowspace(once, s)
         assert np.abs(twice - once).max() < 1e-10
+        # a matrix projects row by row, and stays put when projected again
+        rows = rng.standard_normal((5, x.shape[1]))
+        projected = project_onto_rowspace(rows, s)
+        assert projected.shape == rows.shape
+        per_row = np.array([project_onto_rowspace(r, s) for r in rows])
+        assert np.abs(projected - per_row).max() < 1e-12
+        assert np.abs(project_onto_rowspace(projected, s) - projected).max() < 1e-10
+
+
+def test_project_rejects_a_feature_count_mismatch():
+    s = svd(np.ones((2, 3)))
+    for x in (np.ones(4), np.ones((5, 4)), np.ones((5, 2))):
+        with pytest.raises(DimensionMismatchError):
+            project_onto_rowspace(x, s)
 
 
 def test_one_blas_thread_nests_and_restores(blas_count):
