@@ -4,7 +4,26 @@ Reproduce the test-error spike at the interpolation threshold, decompose it
 into its three interacting factors (small singular values, test-set overlap
 with the trailing singular modes, and training residuals), and switch each
 factor off to show it is load-bearing.
+
+Imported before numpy, the package has numpy load OpenBLAS with one thread:
+every matrix here is far below the size where BLAS threads pay, and idle
+OpenBLAS workers spin for about 0.1 s of CPU per process.  A thread count
+the environment sets for OpenBLAS wins, and the variable is removed again
+once numpy is loaded, so child processes do not inherit it.
 """
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads these once, when numpy loads it; the first one set wins.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .data import (
     Dataset,

@@ -16,7 +16,10 @@ Matrices are data-by-features: rows are observations, columns are features.
 
 ``one_blas_thread`` holds the BLAS numpy loaded to one thread for a block of
 code, so callers that already run many small factorizations on a thread pool
-do not have each call spread over BLAS threads of its own as well.
+do not have each call spread over BLAS threads of its own as well.  Importing
+``descent_lab`` before numpy already loads OpenBLAS with one thread (see the
+package docstring); the hold is what keeps sweeps at one BLAS thread when
+numpy was loaded first or the environment asked OpenBLAS for more.
 """
 
 from __future__ import annotations
@@ -267,7 +270,9 @@ def one_blas_thread():
     Nested and concurrent blocks share one limit: the first entry saves the
     counts and sets 1, the last exit restores them, also when a block raises.
     The count is process-wide, so BLAS calls on other threads meanwhile run
-    on one thread too.
+    on one thread too.  Where the package loaded OpenBLAS with one thread
+    the hold changes nothing; it matters when numpy was imported first, or
+    when ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` asked for more.
     """
     global _blas_holders, _blas_saved
     controls = _openblas_controls()

@@ -9,8 +9,8 @@ output diffable.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -18,6 +18,11 @@ from .errors import EmptySeriesError
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 FONT = "Helvetica, Arial, sans-serif"
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content; quotes stay as they are."""
+    return html.escape(text, quote=False)
 
 
 def _nice_step(raw: float) -> float:
@@ -160,7 +165,7 @@ def render_line_svg(
         )
         out.append(
             f'<text x="{px:.2f}" y="{mt + ph + 16}" text-anchor="middle" '
-            f'fill="#333">{escape(_fmt(t))}</text>'
+            f'fill="#333">{_escape(_fmt(t))}</text>'
         )
     for t in y_ticks:
         py = fy(t)
@@ -169,7 +174,7 @@ def render_line_svg(
         )
         out.append(
             f'<text x="{ml - 6}" y="{py + 4:.2f}" text-anchor="end" '
-            f'fill="#333">{escape(_fmt(t))}</text>'
+            f'fill="#333">{_escape(_fmt(t))}</text>'
         )
 
     out.append(
@@ -184,7 +189,7 @@ def render_line_svg(
         )
         if mtext:
             out.append(
-                f'<text x="{px + 4:.2f}" y="{mt + 14}" fill="#666">{escape(str(mtext))}</text>'
+                f'<text x="{px + 4:.2f}" y="{mt + 14}" fill="#666">{_escape(str(mtext))}</text>'
             )
 
     styles = styles or []
@@ -216,23 +221,23 @@ def render_line_svg(
                 f'<line x1="{lx}" y1="{y0 + 4}" x2="{lx + 18}" y2="{y0 + 4}" '
                 f'stroke="{color}" stroke-width="2.4"/>'
             )
-            out.append(f'<text x="{lx + 24}" y="{y0 + 8}" fill="#333">{escape(str(text))}</text>')
+            out.append(f'<text x="{lx + 24}" y="{y0 + 8}" fill="#333">{_escape(str(text))}</text>')
             row += 1
 
     if title:
         out.append(
             f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" font-size="15" '
-            f'fill="#111">{escape(title)}</text>'
+            f'fill="#111">{_escape(title)}</text>'
         )
     if x_label:
         out.append(
             f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle" '
-            f'fill="#333">{escape(x_label)}</text>'
+            f'fill="#333">{_escape(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="16" y="{mt + ph / 2:.0f}" text-anchor="middle" fill="#333" '
-            f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{_escape(y_label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out)

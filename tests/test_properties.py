@@ -78,6 +78,9 @@ class FixedDraws:
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_side=6), st.data())
 @example(2e-219 * np.array([[1.0, 2.0], [3.0, 4.0]]), FixedDraws([1e6, -1e6]))
+# kappa = 8.1e9: the two products round to a gap of 1.24e-6 = 0.69 kappa eps.
+@example(np.array([[2.0**-14, 2.0**-14, 2.0**-14], [697075.0, 2.0**-14, 2.0**-14]]),
+         FixedDraws([1.0, 0.0]))
 def test_pinv_fit_projects_targets_onto_the_column_space(x, data):
     # Whatever the rank, X X^+ y is the best approximation of y inside the
     # column space, so applying the projection twice changes nothing.
@@ -90,7 +93,14 @@ def test_pinv_fit_projects_targets_onto_the_column_space(x, data):
         assert_rightly_rejected(x, y)
         return
     twice = x @ pseudoinverse_apply(x, once)
-    assert np.linalg.norm(twice - once) <= 1e-6 * max(1.0, np.linalg.norm(once))
+    # x @ X^+ y carries rounding error of order kappa * eps, kappa over the
+    # retained modes; 20000 drawn examples reached 1.15 kappa * eps, so allow
+    # 4.  The rank tolerance keeps kappa below 1e12 / max(N, D), so the bound
+    # stays under 5e-4 and a 1e-3 error in X^+ y still fails.
+    sigma = svd(x).singular_values
+    kappa = sigma[0] / sigma[-1] if sigma.size else 1.0
+    bound = max(1e-6, 4 * kappa * np.finfo(np.float64).eps)
+    assert np.linalg.norm(twice - once) <= bound * max(1.0, np.linalg.norm(once))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import xml.dom.minidom
+import xml.sax.saxutils
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ def test_title_and_labels_are_escaped():
     parse(svg)  # must stay well-formed despite the raw specials
     assert "spikes &amp; dips" in svg
     assert "a &lt; b" in svg
+
+
+def test_text_is_escaped_as_xml_sax_escapes_it():
+    # Only &, < and > are escaped; quotes in text content stay as they are.
+    title = """R&D <"quoted"> 'single'"""
+    svg = render_line_svg([([1, 2], [3, 4])], title=title)
+    assert f">{xml.sax.saxutils.escape(title)}</text>" in svg
 
 
 def test_rejects_unplottable_input():
