@@ -44,17 +44,20 @@ from .linalg import (
     svd,
 )
 
-# The crosscheck compares the decomposition with an independent fit: LAPACK's
-# gelsd least squares solver (np.linalg.lstsq) on the original training rows
-# and targets, cut at the factorization's own rank tolerance.  gelsd runs its
-# own bidiagonalization, so the two routes share no factorization and drift
-# apart by up to a few thousand times machine epsilon times the condition
-# number of the retained spectrum, measured against the size of the terms
-# being summed.  The gate scales with both.  The worst drift seen, on the
-# badly conditioned near-threshold cells of the polynomial sweep (P 1:200,
-# n = 30, seeds 0:19), used 0.3% of it, and the linear sweeps under every
-# ablation at most 0.002%; a wrong formula, a dropped mode or inconsistent
-# residuals produce an O(1) relative disagreement.
+# The crosscheck compares the decomposition with an independent least squares
+# fit of the original training rows and targets (``_lstsq_fit``).  When the
+# factorization keeps full rank min(N, D), the fit is Householder QR: of
+# [X y] for tall and square X, of X^T for wide X.  Otherwise (a truncated or
+# rank-deficient factorization) it is LAPACK's gelsd (np.linalg.lstsq) cut at
+# the factorization's own rank tolerance.  Neither shares a factorization
+# with the SVD, so the two routes drift apart by up to a few thousand times
+# machine epsilon times the condition number of the retained spectrum,
+# measured against the size of the terms being summed.  The gate scales with
+# both.  The worst drift seen, on the badly conditioned near-threshold cells
+# of the polynomial sweep (P 1:200, n = 30, seeds 0:19), used 1.4% of it, and
+# the linear sweeps under every ablation at most 0.003%; a wrong formula, a
+# dropped or rescaled mode or inconsistent residuals produce an O(1)
+# relative disagreement.
 CROSSCHECK_TOL = 1e-8
 CROSSCHECK_KAPPA_FACTOR = 65536.0
 
@@ -211,13 +214,24 @@ def _training_rows(x_train, y_train, s: SvdResult, gt: GroundTruth):
 
 
 def _lstsq_fit(x_train: np.ndarray, y_train: np.ndarray, s: SvdResult) -> np.ndarray:
+    # s only picks the route and, off full rank, the cutoff; the fit itself
+    # reads nothing but the training rows and targets.
+    n, d = x_train.shape
+    if s.rank == 0:
+        return np.zeros(d)
+    if s.rank == min(n, d):
+        if n >= d:
+            # [X y] = Q [R | Q^T y], so R beta = (Q^T y)[:d].
+            r = np.linalg.qr(np.column_stack([x_train, y_train]), mode="r")
+            return np.linalg.solve(r[:d, :d], r[:d, d])
+        # X^T = Q R, so X = R^T Q^T and the minimum-norm fit is Q R^-T y.
+        q, r = np.linalg.qr(x_train.T)
+        return q @ np.linalg.solve(r.T, y_train)
     # gelsd treats sigma <= rcond * sigma_max as zero, the modes s dropped.
     # (A cutoff within rounding of a singular value may land on either side
     # in the two drivers; the check then fails loudly.)  gelsd reads
     # rcond >= 1 as machine epsilon, so keeping no mode at all, the
     # minimum-norm fit being zero, cannot be asked of it.
-    if s.rank == 0:
-        return np.zeros(s.n_cols)
     rcond = s.rank_tolerance / float(s.singular_values[0])
     return np.linalg.lstsq(x_train, y_train, rcond=rcond)[0]
 

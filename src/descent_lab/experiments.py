@@ -36,13 +36,14 @@ Cells are independent pure computations, so they may run in any order and on
 any number of threads; results are merged and sorted by (n_train, seed) at
 the end, making the output deterministic for a given configuration.  Pool
 threads run the cells (``DESCENT_LAB_THREADS`` of them, default min(8,
-cpus)), and while a sweep runs, BLAS is held to one thread
-(``linalg.one_blas_thread``), so every cell's LAPACK and BLAS calls run on the
-pool thread that called them.
+cpus)), a block of ``CELL_BLOCK`` consecutive cells at a time, and while a
+sweep runs, BLAS is held to one thread (``linalg.one_blas_thread``), so every
+cell's LAPACK and BLAS calls run on the pool thread that called them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import Counter
@@ -84,6 +85,9 @@ SV_CUTOFF_COEFF = 0.9
 # lambda = RIDGE_AUTO_COEFF * sigma_max^2 when ridge is asked to pick its own
 # strength; heavy on purpose, the point is to bury the trailing modes.
 RIDGE_AUTO_COEFF = 0.5
+# Consecutive cells handed to a pool thread at a time: the cell list is
+# seed-major, so a block mostly shares one seed's state.
+CELL_BLOCK = 16
 # Guards the peak ratio against 0/0 when an ablation drives both medians to
 # the float-noise floor.
 PEAK_RATIO_EPS = 1e-12
@@ -354,7 +358,7 @@ def _median_sigma_max(plan: _Plan) -> float:
                 tops.append(np.linalg.svd(pool.X[:n], compute_uv=False)[0])
     if not tops:
         raise ConfigError("no usable cells to resolve the cutoff from")
-    return float(np.median(tops))
+    return _median(tops)
 
 
 def resolve_tau(config: SweepConfig) -> float:
@@ -483,8 +487,8 @@ def run_cell(config: SweepConfig, n_train: int, seed: int) -> SweepRecord:
 
 
 def _run_cells(cells, one) -> SweepOutcome:
-    """Run the cells on the worker pool, BLAS held to one thread, and merge
-    deterministically."""
+    """Run the cells on the worker pool, in blocks of ``CELL_BLOCK``
+    consecutive cells, BLAS held to one thread, and merge deterministically."""
     records: list[SweepRecord] = []
     failures: list[CellFailure] = []
 
@@ -494,13 +498,17 @@ def _run_cells(cells, one) -> SweepOutcome:
         except Exception as exc:  # a failed cell is recorded, not fatal
             return None, CellFailure(cell[0], cell[1], f"{type(exc).__name__}: {exc}")
 
+    def guarded_block(start):
+        return [guarded(c) for c in cells[start:start + CELL_BLOCK]]
+
     workers = worker_count()
     with one_blas_thread() as blas_threads:
         if workers == 1:
             results = [guarded(c) for c in cells]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(guarded, cells))
+                blocks = pool.map(guarded_block, range(0, len(cells), CELL_BLOCK))
+                results = [r for block in blocks for r in block]
     for rec, fail in results:
         if rec is not None:
             records.append(rec)
@@ -631,7 +639,7 @@ def peak_ratio(records: list[SweepRecord], d: int) -> float:
     if not at_d or not at_3d:
         raise ConfigError(f"peak ratio needs cells at n={d} and n={3 * d}")
     return float(
-        (np.median(at_d) + PEAK_RATIO_EPS) / (np.median(at_3d) + PEAK_RATIO_EPS)
+        (_median(at_d) + PEAK_RATIO_EPS) / (_median(at_3d) + PEAK_RATIO_EPS)
     )
 
 
@@ -649,4 +657,17 @@ def median_series(records: list[SweepRecord], attr: str, key: str = "n_train"):
             continue
         groups.setdefault(getattr(r, key), []).append(v)
     ks = sorted(groups)
-    return ks, [float(np.median(groups[k])) for k in ks]
+    return ks, [_median(groups[k]) for k in ks]
+
+
+def _median(values) -> float:
+    """np.median of a non-empty list, without the numpy.ma import that costs
+    about 10 ms of CPU and 1 MiB: the middle value, or the mean of the two
+    middle values, and NaN when any value is NaN."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from descent_lab import SweepConfig, linalg, run_sweep
@@ -26,3 +27,18 @@ def blas_count():
     set_(2)
     yield get
     set_(before)
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.lstsq is called on during the
+    test, which the crosscheck runs only off full rank."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(a, b, *args, **kwargs):
+        calls.append(np.shape(a))
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls

@@ -151,6 +151,52 @@ def test_crosscheck_catches_wrong_decompositions():
             decompose_test_error(tests[0], x, y, s, flipped, regime)
 
 
+@pytest.mark.parametrize("n", [20, 8, 5], ids=["tall", "square", "wide"])
+def test_crosscheck_catches_full_rank_wrong_decompositions(lstsq_calls, n):
+    # Doubles that keep full rank, so the crosscheck fits by QR, not gelsd:
+    # one singular value rescaled, or one right singular vector negated
+    # without its left partner.
+    rng = np.random.default_rng(32)
+    x_full = rng.standard_normal((40, 8))
+    y_full = x_full @ rng.standard_normal(8) + 0.5 * rng.standard_normal(40)
+    tests = x_full[30:]
+    x, y = x_full[:n], y_full[:n]
+    gt = make_ground_truth(x_full, y_full, x, y)
+    s = svd(x)
+    regime = regime_of(n, 8)
+    assert s.rank == min(n, 8)
+    decompose_test_errors(tests, x, y, s, gt, regime)  # the real thing passes
+    for mode in range(s.rank):
+        scaled = s.singular_values.copy()
+        scaled[mode] *= 1.5
+        flipped = s.v_cols.copy()
+        flipped[:, mode] *= -1
+        for wrong in (
+            SvdResult(s.u_cols, scaled, s.v_cols, s.rank, s.rank_tolerance),
+            SvdResult(s.u_cols, s.singular_values, flipped, s.rank, s.rank_tolerance),
+        ):
+            with pytest.raises(DecompositionMismatchError):
+                decompose_test_errors(tests, x, y, wrong, gt, regime)
+    assert lstsq_calls == []
+
+
+def test_duplicated_rows_fall_back_to_gelsd(lstsq_calls):
+    # Rows repeated three times: rank 4 at every shape, below min(N, D).
+    rng = np.random.default_rng(33)
+    base = rng.standard_normal((4, 6))
+    x_full = np.vstack([base] * 3 + [rng.standard_normal((20, 6))])
+    y_full = x_full @ rng.standard_normal(6) + 0.3 * rng.standard_normal(32)
+    for n in (12, 6, 5):
+        x, y = x_full[:n], y_full[:n]
+        gt = make_ground_truth(x_full, y_full, x, y)
+        s = svd(x)
+        assert s.rank == 4 < min(n, 6)
+        bias, var, pred = decompose_test_errors(x_full[20:], x, y, s, gt, regime_of(n, 6))
+        beta_hat = fit_pinv(x, y, s=s).beta
+        assert_allclose(pred, x_full[20:] @ (beta_hat - gt.beta_star), atol=1e-10)
+    assert lstsq_calls == [(12, 6), (6, 6), (5, 6)]
+
+
 def test_crosscheck_follows_a_truncated_factorization():
     # A truncated SVD is checked against least squares on the original rows
     # cut at the truncation, down to keeping no mode at all.

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -237,6 +238,21 @@ def test_sweep_fits_ground_truth_per_seed_and_factors_each_cell_once(monkeypatch
     assert len(ablations) == len(cells)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_crosscheck_runs_gelsd_only_on_truncated_cells(lstsq_calls, variant):
+    # Full-rank cells are crosschecked by QR.  The default sv-cutoff
+    # truncates every cell, and gelsd then runs once per cell that keeps
+    # a mode (a cell with none is checked against the zero fit).
+    out = run_sweep(small_config(seeds=[0, 1], **VARIANTS[variant]))
+    assert not out.failures
+    if variant == "sv-cutoff":
+        kept = [(r.n_train, 8) for r in out.records if r.smallest_nonzero_sv is not None]
+        assert len(kept) > len(out.records) // 2
+        assert sorted(lstsq_calls) == sorted(kept)
+    else:
+        assert lstsq_calls == []
+
+
 def test_seed_state_holds_under_a_thread_storm(monkeypatch):
     # Eight threads switching every microsecond over four seeds, one of them
     # listed twice: each distinct seed's state is built once and outlives
@@ -363,6 +379,23 @@ def test_grid_validation():
 def test_default_synthetic_grid_spans_the_threshold():
     grid = default_synthetic_grid(32)
     assert grid[0] == 2 and grid[-1] == 96 and 32 in grid
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 30, 31])
+def test_median_matches_numpy_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    for values in (rng.standard_normal(length).tolist(),
+                   (rng.lognormal(0, 20, length) * 1e-300).tolist(),
+                   [0.1 * k for k in range(length)],
+                   list(rng.integers(0, 3, length) * 1e300 / 3.0)):
+        assert experiments._median(values) == float(np.median(values))
+
+
+def test_median_of_nan_is_nan():
+    for values in ([math.nan], [1.0, math.nan, 2.0], [math.nan, 3.0, 1.0, 2.0]):
+        assert math.isnan(experiments._median(values))
+    assert math.isnan(experiments._median([math.inf, -math.inf]))
+    assert experiments._median([1.0, math.inf, math.inf]) == math.inf
 
 
 def test_parse_ablation():

@@ -86,3 +86,20 @@ def test_cli_import_leaves_the_http_chain_unloaded():
     report = run_child("import descent_lab.cli",
                        f"report['http'] = [m for m in {HTTP_CHAIN!r} if m in sys.modules]")
     assert report["http"] == []
+
+
+def test_sweep_and_polyfit_leave_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma; the sweep's medians (the cutoff pre-pass,
+    # the plotted series) must not.
+    extra = (
+        "from descent_lab import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "report['codes'] = [\n"
+        "    cli.main(['sweep', '--d', '8', '--grid', '2:24', '--seeds', '0:1',\n"
+        "              '--ablation', 'sv-cutoff', '--out', out + '/sweep']),\n"
+        "    cli.main(['polyfit', '--n', '8', '--p-grid', '1:20', '--seeds', '0:1',\n"
+        "              '--out', out + '/poly'])]\n"
+        "report['ma'] = 'numpy.ma' in sys.modules"
+    )
+    report = run_child("import descent_lab", extra)
+    assert report["codes"] == [0, 0] and report["ma"] is False
