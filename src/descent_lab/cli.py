@@ -241,6 +241,7 @@ def cmd_sweep(args) -> int:
             "grid": plan.grid,
             "seeds": list(config.seeds),
             "ablation": plan.ablation.label(),
+            "tau": plan.ablation.tau,
             "threads": worker_count(),
             "blas_threads": outcome.blas_threads,
         },

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -169,9 +170,10 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
     """Load a headered CSV into a Dataset.
 
     Non-numeric columns are dropped (and recorded); rows with any missing
-    value among the remaining columns are dropped and counted; features are
-    optionally standardized to mean 0, population sd 1.  The target column is
-    never standardized.
+    value (an empty field) among the remaining columns are dropped and
+    counted; features are optionally standardized to mean 0, population sd 1.
+    The target column is never standardized.  A nan, inf or overflowing
+    number in a kept column raises ``DataError``.
     """
     path = Path(path)
     if not path.exists():
@@ -206,10 +208,18 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
     ]
     dropped_non_numeric = [header[j] for j in range(n_cols) if not numeric[j]]
 
+    used = feature_idx + [target_idx]
     kept_rows = []
     dropped = 0
-    for row in parsed:
-        vals = [row[j] for j in feature_idx] + [row[target_idx]]
+    for i, row in enumerate(parsed):
+        vals = [row[j] for j in used]
+        for j, v in zip(used, vals):
+            if v is not None and not math.isfinite(v):
+                raise DataError(
+                    f"{path}: row {i + 1} (line {i + 2}), column {header[j]!r}: "
+                    f"{body[i][j].strip()!r} is not a finite number; an empty field "
+                    "means missing"
+                )
         if any(v is None for v in vals):
             dropped += 1
         else:

@@ -27,10 +27,14 @@ Three ablations switch off one spike ingredient each:
 * ``linearized-targets``: replace every target of a seed, pool and test, by
   X beta_star with the seed's beta_star, removing the residuals.
 
-When tau is not given explicitly it defaults to 0.9x the median over all
-cells of sigma_max(training X).  Small cutoffs leave the near-threshold modes
-that drive the spike partially intact; a cutoff near the bulk of the spectrum
-is what actually flattens the peak-to-tail ratio.
+When tau is not given explicitly it defaults to 0.9x the median of
+sigma_max(training X) over every cell that fits the pool.  Small cutoffs
+leave the near-threshold modes that drive the spike partially intact; a
+cutoff near the bulk of the spectrum is what actually flattens the
+peak-to-tail ratio.  Appending a row never lowers sigma_max (Cauchy
+interlacing), so each seed's sigma_max values rise along the grid and the
+median is read off a merge of those sorted sequences: about half of the
+cells' singular-value SVDs, run serially before the pool starts.
 
 Cells are independent pure computations, so they may run in any order and on
 any number of threads; results are merged and sorted by (n_train, seed) at
@@ -43,12 +47,14 @@ cell's LAPACK and BLAS calls run on the pool thread that called them.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -310,7 +316,7 @@ def _prepare(config: SweepConfig) -> _Plan:
             raise ConfigError("csv datasets need a target column")
         csv_ds = load_csv(config.source[4:], config.target_column, config.standardize)
         d = csv_ds.n_cols
-        pool_rows = csv_ds.n_rows - int(round(HOLDOUT_FRACTION * csv_ds.n_rows))
+        pool_rows = _csv_pool_rows(csv_ds.n_rows)
         grid = config.grid if config.grid is not None else default_real_grid(pool_rows)
     elif config.source == "student-teacher":
         if config.d is None or config.d < 1:
@@ -344,26 +350,55 @@ def _environment(plan: _Plan, seed: int) -> tuple[Dataset, Dataset]:
             plan.grid[-1] + N_TEST_SYNTHETIC, plan.d, plan.config.noise_sd, seed
         )
         return split(ds, SplitSpec(n_train=plan.grid[-1], seed=seed, shuffle=False))
-    n = plan.csv_ds.n_rows
-    n_test = int(round(HOLDOUT_FRACTION * n))
-    return split(plan.csv_ds, SplitSpec(n_train=n - n_test, seed=seed, shuffle=True))
+    n_pool = _csv_pool_rows(plan.csv_ds.n_rows)
+    return split(plan.csv_ds, SplitSpec(n_train=n_pool, seed=seed, shuffle=True))
+
+
+def _csv_pool_rows(n_rows: int) -> int:
+    """Training-pool rows of a real dataset: all but the held-out 20%."""
+    return n_rows - int(round(HOLDOUT_FRACTION * n_rows))
 
 
 def _median_sigma_max(plan: _Plan) -> float:
-    tops = []
-    for seed in plan.config.seeds:
-        pool, _ = _environment(plan, seed)
+    """The median sigma_max over every (n_train, seed) cell that fits the
+    pool, from about half of their factorizations.
+
+    A seed's training sets nest along the strictly increasing grid, and
+    appending a row never lowers sigma_max (Cauchy interlacing), so each
+    seed's sigma_max values come out sorted.  ``heapq.merge`` over one lazy
+    sequence per seed therefore yields every cell's sigma_max in ascending
+    order, and the median needs only the M // 2 + 1 smallest of the M cells:
+    that many SVDs, plus at most one look-ahead for each other seed.  The
+    merge equals the sort while the computed sigma_max keep the mathematical
+    order; two prefixes whose sigma_max agree to within rounding (say, after
+    an appended zero row) can move the median by that rounding.
+    """
+    pool_rows = plan.grid[-1] if plan.csv_ds is None else _csv_pool_rows(plan.csv_ds.n_rows)
+    fitting = sum(n <= pool_rows for n in plan.grid) * len(plan.config.seeds)
+
+    def tops(seed):
+        x = _environment(plan, seed)[0].X
         for n in plan.grid:
-            if n <= pool.n_rows:
-                tops.append(np.linalg.svd(pool.X[:n], compute_uv=False)[0])
-    if not tops:
+            if n > pool_rows:
+                return
+            yield np.linalg.svd(x[:n], compute_uv=False)[0]
+
+    lowest = list(islice(heapq.merge(*map(tops, plan.config.seeds)), fitting // 2 + 1))
+    if not lowest:
         raise ConfigError("no usable cells to resolve the cutoff from")
-    return _median(tops)
+    # The median of all M: the middle value, or the mean of the middle two.
+    return _median(lowest[-1:] if fitting % 2 else lowest[-2:])
 
 
 def resolve_tau(config: SweepConfig) -> float:
-    """The default ablation cutoff for this sweep: 0.9x the median over all
-    (n_train, seed) cells of sigma_max of the training matrix."""
+    """The default ablation cutoff for this sweep: 0.9x the median of
+    sigma_max of the training matrix over every (n_train, seed) cell that
+    fits the pool.
+
+    sigma_max never falls as rows are appended (Cauchy interlacing), so the
+    median costs about half of those cells' singular-value SVDs: M // 2 + 1
+    of the M cells, plus at most one more per other seed.
+    """
     plan = _prepare(replace(config, ablation=AblationKind()))
     return SV_CUTOFF_COEFF * _median_sigma_max(plan)
 

@@ -23,7 +23,7 @@ from descent_lab.decomposition import (
     make_nested_ground_truth,
 )
 from descent_lab.errors import ConfigError
-from descent_lab.experiments import SweepRecord, _regime_fit
+from descent_lab.experiments import SweepConfig, SweepRecord, _regime_fit, resolve_tau
 from descent_lab.linalg import pseudoinverse_apply, svd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -149,6 +149,24 @@ def test_sweep_cutoff_ablation_from_the_command_line(tmp_path):
     assert all(r["ablation"] == "sv-cutoff:0.5" for r in rows)
     svs = [float(r["smallest_nonzero_sv"]) for r in rows if r["smallest_nonzero_sv"]]
     assert svs and min(svs) >= 0.5
+
+
+@pytest.mark.parametrize("ablation", ["sv-cutoff", "sv-cutoff:0.5", "test-projection", "none"])
+def test_manifest_records_tau_at_full_precision(tmp_path, ablation):
+    out = tmp_path / "tau"
+    code = main([
+        "sweep", "--d", "8", "--noise-sd", "0.25", "--grid", "2:24", "--seeds", "0:2",
+        "--ablation", ablation, "--out", str(out),
+    ])
+    assert code == 0
+    tau = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["resolved"]["tau"]
+    if ablation == "none":
+        assert tau is None
+    elif ablation == "sv-cutoff:0.5":
+        assert tau == 0.5
+    else:
+        config = SweepConfig(d=8, noise_sd=0.25, grid=list(range(2, 25)), seeds=[0, 1, 2])
+        assert tau == resolve_tau(config)
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):
@@ -294,6 +312,33 @@ def test_readme_diabetes_command_runs(tmp_path, monkeypatch):
     assert main(argv) == 0
     rows = read_csv_rows(tmp_path / "diabetes" / "records.csv")
     assert rows and all(r["d"] == "10" for r in rows)
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--no-standardize"], ["--no-standardize", "--ablation", "sv-cutoff"],
+])
+def test_sweep_rejects_non_finite_csv_cells(tmp_path, capsys, extra):
+    # nan and inf must stop every path before any cell runs: standardizing
+    # would drop both columns as constant, and the raw paths would fail every
+    # cell or the cutoff pass.
+    lines = (REPO / "data" / "diabetes.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    for line_no, column, value in ((6, "bmi", "nan"), (10, "bp", "inf")):
+        cells = lines[line_no - 1].split(",")
+        cells[header.index(column)] = value
+        lines[line_no - 1] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "sweep", "--dataset", f"csv:{bad}", "--target-col", "target", "--seeds", "0:1",
+        "--out", str(out), *extra,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad.csv: row 5 (line 6), column 'bmi'" in err
+    assert "empty field means missing" in err
+    assert not (out / "records.csv").exists()
 
 
 def test_gdcheck_end_to_end(tmp_path):

@@ -171,6 +171,27 @@ def test_load_csv_error_cases(tmp_path):
         load_csv(write(tmp_path, "a,y\n,1\n,2\n"), "y")  # nothing survives cleaning
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", " NaN "])
+@pytest.mark.parametrize("column", ["a", "y"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell, column):
+    rows = {"a": ["1", "2", "3"], "y": ["4", "5", "6"]}
+    rows[column][1] = cell
+    p = write(tmp_path, "a,y\n" + "".join(f"{a},{y}\n" for a, y in zip(*rows.values())))
+    for standardize in (True, False):
+        with pytest.raises(DataError) as info:
+            load_csv(p, "y", standardize=standardize)
+        msg = str(info.value)
+        assert str(p) in msg and "row 2 " in msg and repr(column) in msg
+        assert "empty field means missing" in msg
+
+
+def test_load_csv_ignores_non_finite_text_in_dropped_columns(tmp_path):
+    p = write(tmp_path, "a,note,y\n1,nan,4\n2,ok,5\n3,inf,6\n")
+    ds = load_csv(p, "y")
+    assert ds.feature_names == ["a"]
+    assert ds.preprocessing.non_numeric_columns_dropped == ["note"]
+
+
 def test_save_then_load_round_trips_bit_for_bit(tmp_path):
     # diabetes.csv holds short decimals, well under 12 significant digits
     ds = load_csv(DIABETES, "target")

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import descent_lab
 from descent_lab import decomposition, estimators, experiments, linalg
 from descent_lab.data import (
     _legendre_matrix,
+    load_csv,
     make_polynomial_dataset,
     make_student_teacher,
     polynomial_target,
@@ -37,6 +39,7 @@ from descent_lab.experiments import (
 )
 from descent_lab.linalg import svd
 
+REPO = Path(__file__).resolve().parent.parent
 SMALL = dict(d=8, noise_sd=0.25, grid=list(range(2, 25)), seeds=list(range(5)))
 
 
@@ -122,10 +125,80 @@ def test_ablation_needs_resolved_tau():
             apply_ablation(AblationKind(kind), svd(ds.X[:3]), ds.X[3:])
 
 
-def test_resolve_tau_is_positive_and_deterministic():
-    cfg = small_config(seeds=[0, 1, 2])
-    a, b = resolve_tau(cfg), resolve_tau(cfg)
-    assert a == b and a > 0
+DIABETES = dict(
+    source="csv:" + str(REPO / "data" / "diabetes.csv"), target_column="target", d=None
+)
+HEADLINE_GRID = list(range(2, 97))
+TAU_CONFIGS = {
+    # 23 cells a seed, so odd and even cell counts alternate with the seeds
+    **{f"d8-{k}seeds": dict(SMALL, seeds=list(range(k))) for k in (1, 2, 3, 4)},
+    "d8-24cells": dict(SMALL, grid=list(range(2, 26)), seeds=[0, 1, 2]),
+    **{f"headline-{k}seeds": dict(d=32, noise_sd=0.25, grid=HEADLINE_GRID, seeds=list(range(k)))
+       for k in (1, 2, 6, 7, 30)},
+    "strided": dict(d=32, noise_sd=0.25, grid=list(range(8, 97, 8)), seeds=list(range(30))),
+    "two-points": dict(d=32, noise_sd=0.25, grid=[16, 64], seeds=list(range(5))),
+    "two-points-one-seed": dict(d=32, noise_sd=0.25, grid=[16, 64], seeds=[3]),
+    "noiseless": dict(d=32, noise_sd=0.0, grid=HEADLINE_GRID, seeds=list(range(4))),
+    "diabetes": dict(DIABETES, grid=None, seeds=list(range(5))),
+    "diabetes-one-seed": dict(DIABETES, grid=None, seeds=[7]),
+    "diabetes-raw": dict(DIABETES, grid=[5, 20, 100], seeds=list(range(6)), standardize=False),
+    # grids that run past the 354-row pool: only the cells that fit count
+    "diabetes-past-pool": dict(DIABETES, grid=list(range(2, 500, 9)), seeds=list(range(3))),
+    "diabetes-past-pool-even": dict(DIABETES, grid=[5, 200, 353, 354, 400], seeds=[0, 1]),
+}
+
+
+def _every_fitting_sigma_max(config: SweepConfig) -> list[float]:
+    """sigma_max of every (n_train, seed) cell whose training set fits the
+    seed's pool, each from its own SVD."""
+    if config.source == "student-teacher":
+        rows = config.grid[-1]
+        grid = config.grid
+        pools = [
+            make_student_teacher(rows + experiments.N_TEST_SYNTHETIC, config.d,
+                                 config.noise_sd, seed)[0].X[:rows]
+            for seed in config.seeds
+        ]
+    else:
+        ds = load_csv(config.source[4:], config.target_column, config.standardize)
+        rows = ds.n_rows - round(experiments.HOLDOUT_FRACTION * ds.n_rows)
+        grid = config.grid or experiments.default_real_grid(rows)
+        pools = [ds.X[np.random.default_rng(seed).permutation(ds.n_rows)[:rows]]
+                 for seed in config.seeds]
+    return [np.linalg.svd(x[:n], compute_uv=False)[0]
+            for x in pools for n in grid if n <= rows]
+
+
+@pytest.mark.parametrize("name", list(TAU_CONFIGS))
+def test_resolve_tau_matches_the_median_of_every_fitting_cell(name):
+    config = SweepConfig(**TAU_CONFIGS[name])
+    tau = resolve_tau(config)
+    assert tau == 0.9 * np.median(_every_fitting_sigma_max(config))
+    assert tau > 0 and resolve_tau(config) == tau
+
+
+@pytest.mark.parametrize("config", [
+    SweepConfig(**DIABETES, grid=[400, 420], seeds=[0, 1], allow_narrow_grid=True),
+    SweepConfig(d=8, grid=list(range(2, 25)), seeds=[]),
+], ids=["grid-past-pool", "no-seeds"])
+def test_resolve_tau_without_a_fitting_cell_is_a_config_error(config):
+    with pytest.raises(ConfigError, match="no usable cells"):
+        resolve_tau(config)
+
+
+def test_resolve_tau_factors_about_half_the_cells(monkeypatch):
+    # 6 seeds x 95 cells: the 286 smallest sigma_max, plus one look-ahead for
+    # each of the 5 other seeds.  Every cell, 570 SVDs, is the full pass.
+    calls = []
+    numpy_svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return numpy_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    resolve_tau(SweepConfig(d=32, noise_sd=0.25, grid=HEADLINE_GRID, seeds=list(range(6))))
+    assert 0 < len(calls) <= 291
 
 
 def test_ridge_flattens_the_spike():
