@@ -59,7 +59,6 @@ from .errors import (
     EmptySpectrumError,
     IterationFailureError,
     RankDeficientError,
-    RegimeMismatchError,
 )
 from .estimators import (
     FitResult,
@@ -125,7 +124,6 @@ __all__ = [
     "ModeContribution",
     "Preprocessing",
     "RankDeficientError",
-    "RegimeMismatchError",
     "REGIME_INTERP",
     "REGIME_OVER",
     "REGIME_UNDER",

@@ -173,7 +173,8 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
     value (an empty field) among the remaining columns are dropped and
     counted; features are optionally standardized to mean 0, population sd 1.
     The target column is never standardized.  A nan, inf or overflowing
-    number in a kept column raises ``DataError``.
+    number in a kept column raises ``DataError``, and so does a feature
+    column whose mean or sd overflows when standardizing.
     """
     path = Path(path)
     if not path.exists():
@@ -234,8 +235,15 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
                          rows_dropped_for_missing=dropped)
 
     if standardize:
-        means = x.mean(axis=0)
-        scales = x.std(axis=0)  # population (1/N) standard deviation
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = x.mean(axis=0)
+            scales = x.std(axis=0)  # population (1/N) standard deviation
+        for name, mean, scale in zip(names, means, scales):
+            if not (math.isfinite(mean) and math.isfinite(scale)):
+                raise DataError(
+                    f"{path}: column {name!r} is too large to standardize "
+                    f"(mean {mean}, sd {scale})"
+                )
         keep = scales > CONSTANT_COLUMN_TOL * np.maximum(1.0, np.abs(means))
         prep.constant_columns_dropped = [n for n, k in zip(names, keep) if not k]
         x = (x[:, keep] - means[keep]) / scales[keep]

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DecompositionMismatchError,
-    DimensionMismatchError,
-    EmptySpectrumError,
-    RegimeMismatchError,
-)
-from .estimators import regime_of
+from .errors import DecompositionMismatchError, DimensionMismatchError, EmptySpectrumError
 from .linalg import (
     SvdResult,
     as_matrix,
@@ -189,15 +183,6 @@ def make_nested_ground_truth(f: NestedGroundTruth, x_train, y_train) -> GroundTr
     return GroundTruth(beta_star=beta_star, residuals=y_train - x_train @ beta_star)
 
 
-def _check_regime(s: SvdResult, regime: str) -> None:
-    actual = regime_of(s.n_rows, s.n_cols)
-    if regime != actual:
-        raise RegimeMismatchError(
-            f"declared regime {regime!r} but the factorization is "
-            f"{s.n_rows}x{s.n_cols} ({actual})"
-        )
-
-
 def _training_rows(x_train, y_train, s: SvdResult, gt: GroundTruth):
     x_train = as_matrix(x_train, "x_train")
     y_train = as_vector(y_train, "y_train")
@@ -237,7 +222,7 @@ def _lstsq_fit(x_train: np.ndarray, y_train: np.ndarray, s: SvdResult) -> np.nda
 
 
 def decompose_test_error(
-    x_test, x_train, y_train, s: SvdResult, gt: GroundTruth, regime: str
+    x_test, x_train, y_train, s: SvdResult, gt: GroundTruth
 ) -> ErrorDecomposition:
     """Split the prediction error at one test point into bias and variance.
 
@@ -246,7 +231,7 @@ def decompose_test_error(
     """
     x_test = as_vector(x_test, "x_test")
     (bias,), (variance,), (predicted,) = decompose_test_errors(
-        x_test[None, :], x_train, y_train, s, gt, regime
+        x_test[None, :], x_train, y_train, s, gt
     )
     xv = s.v_cols.T @ x_test
     ue = s.u_cols.T @ gt.residuals
@@ -272,9 +257,7 @@ def decompose_test_error(
     )
 
 
-def decompose_test_errors(
-    x_test_rows, x_train, y_train, s: SvdResult, gt: GroundTruth, regime: str
-):
+def decompose_test_errors(x_test_rows, x_train, y_train, s: SvdResult, gt: GroundTruth):
     """Split the prediction error at each test row into bias and variance.
 
     ``s`` is the factorization of ``x_train`` the decomposition runs on:
@@ -292,7 +275,6 @@ def decompose_test_errors(
             f"test rows have {x_rows.shape[1]} features, expected {s.n_cols}"
         )
     x_train, y_train = _training_rows(x_train, y_train, s, gt)
-    _check_regime(s, regime)
 
     if s.rank == s.n_cols:
         bias = np.zeros(x_rows.shape[0])

@@ -21,10 +21,6 @@ class EmptySpectrumError(DescentLabError):
     """No nonzero singular values are available (numerical rank zero)."""
 
 
-class RegimeMismatchError(DescentLabError):
-    """Declared regime contradicts the shape of the factorization."""
-
-
 class DecompositionMismatchError(DescentLabError):
     """Bias plus variance failed to reproduce the estimator's prediction error."""
 

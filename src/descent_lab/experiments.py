@@ -38,11 +38,14 @@ cells' singular-value SVDs, run serially before the pool starts.
 
 Cells are independent pure computations, so they may run in any order and on
 any number of threads; results are merged and sorted by (n_train, seed) at
-the end, making the output deterministic for a given configuration.  Pool
-threads run the cells (``DESCENT_LAB_THREADS`` of them, default min(8,
-cpus)), a block of ``CELL_BLOCK`` consecutive cells at a time, and while a
-sweep runs, BLAS is held to one thread (``linalg.one_blas_thread``), so every
-cell's LAPACK and BLAS calls run on the pool thread that called them.
+the end, making the output deterministic for a given configuration.  Both
+sweeps run their cells through ``_run_seeded``: the first cell of a seed
+builds the seed's state, the rest of its cells share it, and its last cell
+drops it.  Pool threads run the cells (``DESCENT_LAB_THREADS`` of them,
+default min(8, cpus)), a block of ``CELL_BLOCK`` consecutive cells at a
+time, and while a sweep runs, BLAS is held to one thread
+(``linalg.one_blas_thread``), so every cell's LAPACK and BLAS calls run on
+the pool thread that called them.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -91,8 +95,8 @@ SV_CUTOFF_COEFF = 0.9
 # lambda = RIDGE_AUTO_COEFF * sigma_max^2 when ridge is asked to pick its own
 # strength; heavy on purpose, the point is to bury the trailing modes.
 RIDGE_AUTO_COEFF = 0.5
-# Consecutive cells handed to a pool thread at a time: the cell list is
-# seed-major, so a block mostly shares one seed's state.
+# Consecutive cells handed to a pool thread at a time: ``_run_seeded`` lists
+# cells seed-major, so a block mostly shares one seed's state.
 CELL_BLOCK = 16
 # Guards the peak ratio against 0/0 when an ablation drives both medians to
 # the float-noise floor.
@@ -469,7 +473,7 @@ def _cell(
 
     # The decomposition always describes the minimum-norm mechanism on the
     # (possibly ablated) training data; ridge alters only the MSE columns.
-    bias_vec, var_vec, _ = decompose_test_errors(x_eval, x, y, s, gt, fit.regime)
+    bias_vec, var_vec, _ = decompose_test_errors(x_eval, x, y, s, gt)
     return dict(
         train_mse=fit.train_mse,
         test_mse=float(resid @ resid / x_eval.shape[0]),
@@ -554,56 +558,51 @@ def _run_cells(cells, one) -> SweepOutcome:
     return SweepOutcome(records=records, failures=failures, blas_threads=blas_threads)
 
 
+def _run_seeded(keys, seeds, build, cell) -> SweepOutcome:
+    """Run ``cell(state, key, seed)`` for every key of every seed, where
+    ``state = build(seed)`` is shared by the cells of one seed.
+
+    Cells go to ``_run_cells`` seed-major, so a seed's cells run together.
+    The first cell of a seed builds its state, under one lock, so cells of
+    the same seed on other threads wait for that one build; the seed's last
+    cell drops it, so only the seeds in flight are held.  A build that
+    raises fails the cell that asked for it, and the next cell of the seed
+    tries again.
+    """
+    cells = [(key, seed) for seed in seeds for key in keys]
+    left = Counter(seed for _, seed in cells)
+    live: dict[int, object] = {}
+    lock = threading.Lock()
+
+    def one(key, seed):
+        try:
+            with lock:
+                if seed not in live:
+                    live[seed] = build(seed)
+                state = live[seed]
+            return cell(state, key, seed)
+        finally:
+            with lock:
+                left[seed] -= 1
+                if not left[seed]:
+                    live.pop(seed, None)
+
+    return _run_cells(cells, one)
+
+
 def run_sweep(config: SweepConfig, *, _plan: _Plan | None = None) -> SweepOutcome:
     """Run every (n_train, seed) cell of the sweep.
 
     Output order is sorted by (n_train, seed) whatever the execution
     schedule, and identical configurations produce identical outcomes.
-    Failed cells are collected, not fatal.  Cells run seed-major, and the
-    first cell of a seed builds its state (``_seed_state``).
+    Failed cells are collected, not fatal.  Each seed's state
+    (``_seed_state``) is built by its first cell and shared by the rest
+    (``_run_seeded``).
     """
     plan = _plan if _plan is not None else _prepare(config)
-    cells = [(n, seed) for seed in config.seeds for n in plan.grid]
-    cache = _SeedCache(lambda seed: _seed_state(plan, seed), cells)
-
-    def one(n_train: int, seed: int) -> SweepRecord:
-        state = cache.acquire(seed)
-        try:
-            return _linear_cell(plan, state, n_train, seed)
-        finally:
-            cache.release(seed)
-
-    return _run_cells(cells, one)
-
-
-class _SeedCache:
-    """Per-seed state shared by the cells of one seed.
-
-    The first cell of a seed builds it, under the lock, so cells of the same
-    seed on other threads wait for that one build; the seed's last cell to
-    release it drops it; ``cells`` says how many cells each seed has.  With
-    seed-major dispatch only the seeds in flight are held.
-    """
-
-    def __init__(self, build, cells):
-        self._build = build
-        self._cells_per_seed = Counter(seed for _, seed in cells)
-        self._lock = threading.Lock()
-        self._live: dict[int, list] = {}  # seed -> [state, cells left]
-
-    def acquire(self, seed: int):
-        with self._lock:
-            slot = self._live.get(seed)
-            if slot is None:
-                slot = self._live[seed] = [self._build(seed), self._cells_per_seed[seed]]
-            return slot[0]
-
-    def release(self, seed: int) -> None:
-        with self._lock:
-            slot = self._live[seed]
-            slot[1] -= 1
-            if slot[1] == 0:
-                del self._live[seed]
+    return _run_seeded(
+        plan.grid, config.seeds, partial(_seed_state, plan), partial(_linear_cell, plan)
+    )
 
 
 def run_polynomial_sweep(
@@ -615,9 +614,10 @@ def run_polynomial_sweep(
     [-1, 1].  Records reuse the sweep schema with d = P.  Duplicate grid
     entries produce duplicate records.
 
-    Legendre columns nest across P, so each seed draws its training set once
-    at P_max, factors its (n + 1000) x P_max ground-truth stack once
-    (``NestedGroundTruth``), and every cell slices the first P columns.  The
+    Legendre columns nest across P, so each seed's state, built by its
+    first cell (``_run_seeded``), is its training set drawn once at P_max
+    and its (n + 1000) x P_max ground-truth stack factored once
+    (``NestedGroundTruth``); every cell slices the first P columns.  The
     slices are bit-identical to a P-column draw.
     """
     if not p_grid:
@@ -638,28 +638,21 @@ def run_polynomial_sweep(
         )
         return ds, truth
 
-    # Seed-major, so each seed's cells run together and its state is dropped
-    # once they are done.
-    cells = [(int(p), seed) for seed in seeds for p in p_grid]
-    cache = _SeedCache(build, cells)
     pinv = EstimatorPolicy()
 
-    def one(p: int, seed: int) -> SweepRecord:
-        ds, truth = cache.acquire(seed)
-        try:
-            # Contiguous copies, so every BLAS call sees the layout of a
-            # fresh P-column draw and the records stay bit-identical to one.
-            x = np.ascontiguousarray(ds.X[:, :p])
-            xe = np.ascontiguousarray(xe_max[:, :p])
-            gt = make_nested_ground_truth(truth, x, ds.Y)
-            fields = _cell(x, ds.Y, xe, ye, svd(x), gt, pinv)
-        finally:
-            cache.release(seed)
+    def cell(state, p: int, seed: int) -> SweepRecord:
+        ds, truth = state
+        # Contiguous copies, so every BLAS call sees the layout of a fresh
+        # P-column draw and the records stay bit-identical to one.
+        x = np.ascontiguousarray(ds.X[:, :p])
+        xe = np.ascontiguousarray(xe_max[:, :p])
+        gt = make_nested_ground_truth(truth, x, ds.Y)
         return SweepRecord(
-            n_train=n, d=p, seed=seed, ablation="none", estimator=pinv.label(), **fields
+            n_train=n, d=p, seed=seed, ablation="none", estimator=pinv.label(),
+            **_cell(x, ds.Y, xe, ye, svd(x), gt, pinv),
         )
 
-    return _run_cells(cells, one)
+    return _run_seeded([int(p) for p in p_grid], seeds, build, cell)
 
 
 def peak_ratio(records: list[SweepRecord], d: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import html
 import math
+import sys
 
 import numpy as np
 
@@ -47,13 +48,19 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _log_ticks(lo: float, hi: float) -> list[float]:
-    """Decade ticks inside [lo, hi], strided down when there are too many."""
-    k0 = math.ceil(math.log10(lo) - 1e-9)
-    k1 = math.floor(math.log10(hi) + 1e-9)
+def _log_ticks(t_lo: float, t_hi: float) -> list[float]:
+    """Ticks for a log axis from 10**t_lo to 10**t_hi: the decades that are
+    normal floats, strided down when there are too many.  With no decade in
+    range, the two ends, or where an end is no float, the middle, which lies
+    between the data's own extremes."""
+    f = sys.float_info
+    k0 = max(math.ceil(t_lo - 1e-9), f.min_10_exp)
+    k1 = min(math.floor(t_hi + 1e-9), f.max_10_exp)
     ks = list(range(k0, k1 + 1))
     if not ks:
-        return [lo, hi]
+        if f.min_10_exp <= t_lo and t_hi <= f.max_10_exp:
+            return [10.0**t_lo, 10.0**t_hi]
+        return [10.0 ** ((t_lo + t_hi) / 2)]
     if len(ks) > 12:
         ks = ks[:: math.ceil(len(ks) / 12)]
     return [10.0**k for k in ks]
@@ -153,7 +160,7 @@ def render_line_svg(
     ]
 
     if log_y:
-        y_ticks = _log_ticks(10.0**t_lo, 10.0**t_hi)
+        y_ticks = _log_ticks(t_lo, t_hi)
     else:
         y_ticks = _linear_ticks(t_lo, t_hi)
     x_ticks = _linear_ticks(x_lo, x_hi, target=7)

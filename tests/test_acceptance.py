@@ -26,7 +26,6 @@ from descent_lab import (
     parse_ablation,
     peak_ratio,
     pseudoinverse_apply,
-    regime_of,
     run_polynomial_sweep,
     run_sweep,
     svd,
@@ -166,7 +165,7 @@ def test_decomposition_exactness():
         y = x @ beta + e
         x_test = rng.standard_normal(d)
         gt = make_ground_truth(x, y, x, y)
-        dec = decompose_test_error(x_test, x, y, svd(x), gt, regime_of(n, d))
+        dec = decompose_test_error(x_test, x, y, svd(x), gt)
         fit = fit_pinv(x, y)
         y_star = float(x_test @ gt.beta_star)
         observed = float(x_test @ fit.beta) - y_star

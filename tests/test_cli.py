@@ -286,7 +286,7 @@ def test_polyfit_records_match_the_per_cell_computation(tmp_path):
                 fit = _regime_fit(x, ds.Y)
                 resid = xe @ fit.beta - ye
                 gt = make_nested_ground_truth(truth, x, ds.Y)
-                bias, var, _ = decompose_test_errors(xe, x, ds.Y, s, gt, fit.regime)
+                bias, var, _ = decompose_test_errors(xe, x, ds.Y, s, gt)
                 records.append(SweepRecord(
                     n_train=30, d=p, seed=seed, ablation="none", estimator="pinv",
                     train_mse=fit.train_mse, test_mse=float(resid @ resid / 1000),

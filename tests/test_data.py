@@ -185,6 +185,18 @@ def test_load_csv_rejects_non_finite_cells(tmp_path, cell, column):
         assert "empty field means missing" in msg
 
 
+@pytest.mark.parametrize("a", [["1", "1e300", "3"], ["1e308", "1e308", "1e308"]],
+                         ids=["sd-overflows", "mean-overflows"])
+def test_load_csv_rejects_a_column_too_large_to_standardize(tmp_path, a):
+    # finite cells, but the column's sd (or mean) is inf, which would scale
+    # the column to zeros
+    p = write(tmp_path, "a,b,y\n" + "".join(f"{v},{i},{i}\n" for i, v in enumerate(a)))
+    with pytest.raises(DataError) as info:
+        load_csv(p, "y", standardize=True)
+    assert str(p) in str(info.value) and "'a'" in str(info.value)
+    assert load_csv(p, "y").X[:, 0].tolist() == [float(v) for v in a]
+
+
 def test_load_csv_ignores_non_finite_text_in_dropped_columns(tmp_path):
     p = write(tmp_path, "a,note,y\n1,nan,4\n2,ok,5\n3,inf,6\n")
     ds = load_csv(p, "y")

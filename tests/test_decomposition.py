@@ -16,9 +16,8 @@ from descent_lab.errors import (
     DecompositionMismatchError,
     DimensionMismatchError,
     EmptySpectrumError,
-    RegimeMismatchError,
 )
-from descent_lab.estimators import REGIME_INTERP, REGIME_OVER, fit_pinv, regime_of
+from descent_lab.estimators import fit_pinv
 from descent_lab.linalg import SvdResult, svd, truncate_svd
 
 
@@ -28,7 +27,7 @@ def test_identity_training_matrix_by_hand():
     # the bias vanishes because the row space is all of R^2.
     s = svd(np.eye(2))
     gt = GroundTruth(beta_star=np.array([1.0, 0.0]), residuals=np.array([0.0, 1.0]))
-    dec = decompose_test_error([1.0, 1.0], np.eye(2), [1.0, 1.0], s, gt, REGIME_INTERP)
+    dec = decompose_test_error([1.0, 1.0], np.eye(2), [1.0, 1.0], s, gt)
     assert dec.bias_term == 0.0
     assert_allclose([m.contribution for m in dec.modes], [0.0, 1.0], atol=1e-15)
     assert_allclose(dec.variance_term, 1.0)
@@ -40,7 +39,7 @@ def test_unseen_direction_shows_up_as_bias():
     # no residual, a test point along that blind direction is pure bias.
     x = np.array([[1.0, 0.0]])
     gt = GroundTruth(beta_star=np.array([0.0, 1.0]), residuals=np.array([0.0]))
-    dec = decompose_test_error([0.0, 1.0], x, [0.0], svd(x), gt, REGIME_OVER)
+    dec = decompose_test_error([0.0, 1.0], x, [0.0], svd(x), gt)
     assert_allclose(dec.bias_term, -1.0)
     assert_allclose(dec.variance_term, 0.0, atol=1e-15)
 
@@ -53,7 +52,7 @@ def test_noiseless_data_has_zero_variance_term():
     x_tr, y_tr = x_full[:10], y_full[:10]
     gt = make_ground_truth(x_full, y_full, x_tr, y_tr)
     s = svd(x_tr)
-    dec = decompose_test_error(rng.standard_normal(6), x_tr, y_tr, s, gt, regime_of(10, 6))
+    dec = decompose_test_error(rng.standard_normal(6), x_tr, y_tr, s, gt)
     assert abs(dec.variance_term) <= 1e-8
     assert all(abs(m.u_dot_E) <= 1e-8 for m in dec.modes)
 
@@ -98,9 +97,7 @@ def test_variance_is_the_sum_of_mode_contributions():
         y_full = x_full @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n + 20)
         gt = make_ground_truth(x_full, y_full, x_full[:n], y_full[:n])
         s = svd(x_full[:n])
-        dec = decompose_test_error(
-            rng.standard_normal(d), x_full[:n], y_full[:n], s, gt, regime_of(n, d)
-        )
+        dec = decompose_test_error(rng.standard_normal(d), x_full[:n], y_full[:n], s, gt)
         total = sum(m.contribution for m in dec.modes)
         assert abs(dec.variance_term - total) <= 1e-12 * max(1.0, abs(total))
         assert abs(dec.predicted_error - (dec.bias_term + dec.variance_term)) <= 1e-12
@@ -116,7 +113,7 @@ def test_decomposition_matches_estimator_error_directly():
     beta_hat = fit_pinv(x_tr, y_tr).beta
     for i in range(40, 50):
         xt = x_full[i]
-        dec = decompose_test_error(xt, x_tr, y_tr, s, gt, regime_of(6, 8))
+        dec = decompose_test_error(xt, x_tr, y_tr, s, gt)
         observed = float(xt @ beta_hat - xt @ gt.beta_star)
         assert abs(dec.predicted_error - observed) <= 1e-8 * max(1.0, abs(observed))
 
@@ -134,8 +131,7 @@ def test_crosscheck_catches_wrong_decompositions():
         x, y = x_full[:n], y_full[:n]
         gt = make_ground_truth(x_full, y_full, x, y)
         s = svd(x)
-        regime = regime_of(n, 8)
-        decompose_test_errors(tests, x, y, s, gt, regime)  # the real thing passes
+        decompose_test_errors(tests, x, y, s, gt)  # the real thing passes
         for drop in range(s.rank):
             keep = np.arange(s.rank) != drop
             dropped = SvdResult(
@@ -143,12 +139,12 @@ def test_crosscheck_catches_wrong_decompositions():
                 s.rank - 1, s.rank_tolerance,
             )
             with pytest.raises(DecompositionMismatchError):
-                decompose_test_errors(tests, x, y, dropped, gt, regime)
+                decompose_test_errors(tests, x, y, dropped, gt)
         flipped = GroundTruth(beta_star=gt.beta_star, residuals=-gt.residuals)
         with pytest.raises(DecompositionMismatchError):
-            decompose_test_errors(tests, x, y, s, flipped, regime)
+            decompose_test_errors(tests, x, y, s, flipped)
         with pytest.raises(DecompositionMismatchError):
-            decompose_test_error(tests[0], x, y, s, flipped, regime)
+            decompose_test_error(tests[0], x, y, s, flipped)
 
 
 @pytest.mark.parametrize("n", [20, 8, 5], ids=["tall", "square", "wide"])
@@ -163,9 +159,8 @@ def test_crosscheck_catches_full_rank_wrong_decompositions(lstsq_calls, n):
     x, y = x_full[:n], y_full[:n]
     gt = make_ground_truth(x_full, y_full, x, y)
     s = svd(x)
-    regime = regime_of(n, 8)
     assert s.rank == min(n, 8)
-    decompose_test_errors(tests, x, y, s, gt, regime)  # the real thing passes
+    decompose_test_errors(tests, x, y, s, gt)  # the real thing passes
     for mode in range(s.rank):
         scaled = s.singular_values.copy()
         scaled[mode] *= 1.5
@@ -176,7 +171,7 @@ def test_crosscheck_catches_full_rank_wrong_decompositions(lstsq_calls, n):
             SvdResult(s.u_cols, s.singular_values, flipped, s.rank, s.rank_tolerance),
         ):
             with pytest.raises(DecompositionMismatchError):
-                decompose_test_errors(tests, x, y, wrong, gt, regime)
+                decompose_test_errors(tests, x, y, wrong, gt)
     assert lstsq_calls == []
 
 
@@ -191,7 +186,7 @@ def test_duplicated_rows_fall_back_to_gelsd(lstsq_calls):
         gt = make_ground_truth(x_full, y_full, x, y)
         s = svd(x)
         assert s.rank == 4 < min(n, 6)
-        bias, var, pred = decompose_test_errors(x_full[20:], x, y, s, gt, regime_of(n, 6))
+        bias, var, pred = decompose_test_errors(x_full[20:], x, y, s, gt)
         beta_hat = fit_pinv(x, y, s=s).beta
         assert_allclose(pred, x_full[20:] @ (beta_hat - gt.beta_star), atol=1e-10)
     assert lstsq_calls == [(12, 6), (6, 6), (5, 6)]
@@ -211,7 +206,7 @@ def test_crosscheck_follows_a_truncated_factorization():
     # between two LAPACK drivers, and the check then fails loudly
     for cutoff in (0.0, float(sv[2] + sv[3]) / 2, float(sv[0]) * 2):
         t = truncate_svd(s, cutoff)
-        bias, var, pred = decompose_test_errors(x_full[40:], x, y, t, gt, regime_of(9, 6))
+        bias, var, pred = decompose_test_errors(x_full[40:], x, y, t, gt)
         beta_hat = fit_pinv(x, y, s=t).beta
         assert_allclose(pred, x_full[40:] @ (beta_hat - gt.beta_star), atol=1e-10)
     assert t.rank == 0 and np.all(var == 0)
@@ -223,16 +218,9 @@ def test_training_rows_must_match_the_factorization():
     gt = make_ground_truth(x, y, x, y)
     s = svd(x)
     with pytest.raises(DimensionMismatchError):
-        decompose_test_errors(x, x[:4], y[:4], s, gt, regime_of(5, 3))
+        decompose_test_errors(x, x[:4], y[:4], s, gt)
     with pytest.raises(DimensionMismatchError):
-        decompose_test_error(x[0], x, y[:4], s, gt, regime_of(5, 3))
-
-
-def test_regime_mismatch_is_rejected():
-    x = np.ones((2, 3))
-    gt = GroundTruth(beta_star=np.zeros(3), residuals=np.zeros(2))
-    with pytest.raises(RegimeMismatchError):
-        decompose_test_error([1.0, 0.0, 0.0], x, np.zeros(2), svd(x), gt, REGIME_INTERP)
+        decompose_test_error(x[0], x, y[:4], s, gt)
 
 
 def test_halving_a_singular_value_doubles_its_contribution():
@@ -241,13 +229,13 @@ def test_halving_a_singular_value_doubles_its_contribution():
     s = svd(x)
     gt = GroundTruth(beta_star=rng.standard_normal(9), residuals=rng.standard_normal(5))
     xt = rng.standard_normal(9)
-    base = decompose_test_error(xt, x, x @ gt.beta_star + gt.residuals, s, gt, REGIME_OVER)
+    base = decompose_test_error(xt, x, x @ gt.beta_star + gt.residuals, s, gt)
 
     shrunk = s.singular_values.copy()
     shrunk[-1] *= 0.5
     x2 = (s.u_cols * shrunk) @ s.v_cols.T
     y2 = x2 @ gt.beta_star + gt.residuals
-    dec2 = decompose_test_error(xt, x2, y2, svd(x2), gt, REGIME_OVER)
+    dec2 = decompose_test_error(xt, x2, y2, svd(x2), gt)
     assert_allclose(
         dec2.modes[-1].contribution, 2.0 * base.modes[-1].contribution, rtol=1e-6
     )
@@ -287,13 +275,12 @@ def test_batch_decomposition_matches_scalar():
         x_tr, y_tr = x_full[:n], y_full[:n]
         gt = make_ground_truth(x_full, y_full, x_tr, y_tr)
         s = svd(x_tr)
-        regime = regime_of(n, 7)
         tests = x_full[40:]
-        bias, var, pred = decompose_test_errors(tests, x_tr, y_tr, s, gt, regime)
+        bias, var, pred = decompose_test_errors(tests, x_tr, y_tr, s, gt)
         for i, xt in enumerate(tests):
-            dec = decompose_test_error(xt, x_tr, y_tr, s, gt, regime)
+            dec = decompose_test_error(xt, x_tr, y_tr, s, gt)
             # the scalar form is the batch form on one row, exactly
-            one = decompose_test_errors(xt[None, :], x_tr, y_tr, s, gt, regime)
+            one = decompose_test_errors(xt[None, :], x_tr, y_tr, s, gt)
             assert (dec.bias_term, dec.variance_term, dec.predicted_error) == tuple(
                 float(a[0]) for a in one
             )
@@ -320,9 +307,7 @@ def test_ill_conditioned_polynomial_instance_still_balances():
         ds.Y,
     )
     s = svd(ds.X)
-    bias, var, pred = decompose_test_errors(
-        dense_x[:50], ds.X, ds.Y, s, gt, regime_of(46, 46)
-    )
+    bias, var, pred = decompose_test_errors(dense_x[:50], ds.X, ds.Y, s, gt)
     assert np.isfinite(pred).all()
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +230,7 @@ def _poly_cell_reference(p, n, seed, noise_sd):
     fit = _regime_fit(ds.X, ds.Y)
     resid = xe @ fit.beta - ye
     gt = make_ground_truth(np.vstack([ds.X, xe]), np.concatenate([ds.Y, ye]), ds.X, ds.Y)
-    bias, var, _ = decompose_test_errors(xe, ds.X, ds.Y, s, gt, fit.regime)
+    bias, var, _ = decompose_test_errors(xe, ds.X, ds.Y, s, gt)
     exact = (p, seed, fit.train_mse, float(resid @ resid / 1000),
              float(s.singular_values[-1]), fit.regime)
     return exact, (float(np.mean(np.abs(bias))), float(np.mean(np.abs(var))))
@@ -343,6 +344,64 @@ def test_seed_state_holds_under_a_thread_storm(monkeypatch):
     assert len(truths) == 3
     twice = [r for r in out.records if r.seed == 0]
     assert twice[0::2] == twice[1::2]
+
+
+# Each sweep as (run it on some seeds, the name in ``experiments`` its
+# per-seed build calls, that call's position in the returned state).
+SEEDED_SWEEPS = {
+    "linear": (lambda seeds: run_sweep(small_config(seeds=seeds)), "_seed_state", 0),
+    "polyfit": (lambda seeds: run_polynomial_sweep([2, 6, 9, 14], n=8, seeds=seeds,
+                                                   noise_sd=0.3),
+                "make_polynomial_dataset", None),
+}
+
+
+@pytest.mark.parametrize("sweep", SEEDED_SWEEPS)
+def test_one_thread_holds_one_seed_at_a_time(monkeypatch, sweep):
+    # A weak reference to the data each seed's build returns: on one thread,
+    # the seed a cell runs for is the only one alive, so a sweep that kept
+    # every seed's state would show here.
+    run, name, index = SEEDED_SWEEPS[sweep]
+    build, refs, alive = getattr(experiments, name), [], []
+
+    def tracked(*args):
+        state = build(*args)
+        refs.append(weakref.ref(state if index is None else state[index]))
+        return state
+
+    cell = experiments._cell
+
+    def counting(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return cell(*args)
+
+    monkeypatch.setattr(experiments, name, tracked)
+    monkeypatch.setattr(experiments, "_cell", counting)
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "1")
+    out = run([0, 1, 2, 3])
+    assert not out.failures and len(refs) == 4
+    assert alive == [1] * len(out.records)
+
+
+@pytest.mark.parametrize("sweep", SEEDED_SWEEPS)
+def test_a_failing_build_fails_only_its_own_seed(monkeypatch, sweep):
+    run, name, _ = SEEDED_SWEEPS[sweep]
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
+    clean = run([0, 2])
+    build = getattr(experiments, name)
+
+    def failing(*args):
+        if args[-1] == 1:  # the seed comes last in both builds
+            raise RuntimeError("no data for seed 1")
+        return build(*args)
+
+    monkeypatch.setattr(experiments, name, failing)
+    out = run([0, 1, 2])
+    assert out.records == clean.records
+    assert len(out.failures) == len(clean.records) // 2
+    assert {(f.seed, f.error) for f in out.failures} == {
+        (1, "RuntimeError: no data for seed 1")
+    }
 
 
 def _spy_cells(monkeypatch, before_cell):

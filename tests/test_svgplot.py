@@ -92,6 +92,19 @@ def test_log_ticks_cover_the_decades():
         assert tick in svg
 
 
+@pytest.mark.parametrize("ys", [[1e300] * 3, [1e-300, 1.0, 1e300], [1.1e308, 1.79e308]],
+                         ids=["flat", "wide", "no-decade"])
+def test_log_axis_near_the_float_limits(ys):
+    # the 5% padding takes the axis past 1e308; every tick label stays a
+    # finite number and every y coordinate lands on the canvas
+    doc = parse(render_line_svg([(range(len(ys)), ys)], log_y=True))
+    labels = [float(t.firstChild.data) for t in doc.getElementsByTagName("text")]
+    assert all(np.isfinite(labels)) and max(labels) >= 1e265
+    (line,) = doc.getElementsByTagName("polyline")
+    ys_px = [float(p.split(",")[1]) for p in line.getAttribute("points").split()]
+    assert all(0 < y < 460 for y in ys_px)
+
+
 def test_constant_series_still_renders():
     # degenerate y-range gets padded instead of dividing by zero
     parse(render_line_svg([([1, 2, 3], [5.0, 5.0, 5.0])]))
