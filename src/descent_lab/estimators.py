@@ -1,4 +1,4 @@
-"""The four ways this library fits a linear model to (X, Y).
+"""The five ways this library fits a linear model to (X, Y).
 
 * ``fit_ols_under``: textbook ordinary least squares via the normal equations,
   beta = (X^T X)^{-1} X^T Y.  Needs more data than features and full rank.
@@ -14,6 +14,10 @@
 * ``fit_gradient_descent``: the discrete rule w(t+1) = w(t) - eta X^T e(t)
   started from w(0) = 0, which converges to the minimum-norm solution whenever
   eta < 2 / sigma_max^2.
+
+Sweeps fit with ``fit_pinv`` and ``fit_ridge`` only, on each cell's own
+SVD; the normal-equation and Gram fits are library estimators that the
+tests compare with the pseudoinverse.
 
 Regime vocabulary used throughout: underparameterized means N > D,
 interpolation means N = D, overparameterized means N < D.
@@ -61,7 +65,6 @@ class FitResult:
 
     beta: np.ndarray
     regime: str
-    method: str
     train_mse: float
 
 
@@ -109,56 +112,40 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         raise RankDeficientError(f"{what}: system is numerically singular") from exc
 
 
-def _rank(x: np.ndarray, rank: int | None) -> int:
-    return svd(x).rank if rank is None else rank
-
-
-def fit_ols_under(x, y, *, rank: int | None = None) -> FitResult:
+def fit_ols_under(x, y) -> FitResult:
     """Ordinary least squares through the normal equations.
 
     Requires N >= D with X^T X numerically full rank; rank-deficient input
     raises ``RankDeficientError`` and the caller should fall back to
-    ``fit_min_norm`` or ``fit_pinv``.  ``rank`` is X's numerical rank when
-    the caller already holds ``svd(x)``; left out, it is computed here.
+    ``fit_min_norm`` or ``fit_pinv``.
     """
     x, y = _validate_xy(x, y)
     n, d = x.shape
-    if n < d or _rank(x, rank) < d:
+    if n < d or svd(x).rank < d:
         raise RankDeficientError(
             f"normal equations need full column rank (shape {n}x{d})"
         )
     gram = x.T @ x
     beta = _solve(gram, x.T @ y, "normal equations")
-    return FitResult(
-        beta=beta,
-        regime=regime_of(n, d),
-        method="ols-normal-equations",
-        train_mse=_mse(x, y, beta),
-    )
+    return FitResult(beta=beta, regime=regime_of(n, d), train_mse=_mse(x, y, beta))
 
 
-def fit_min_norm(x, y, *, rank: int | None = None) -> FitResult:
+def fit_min_norm(x, y) -> FitResult:
     """Minimum-norm interpolation via the Gram matrix, beta = X^T (X X^T)^{-1} Y.
 
     Requires N <= D with X X^T numerically full rank.  A rank-deficient Gram
     matrix signals duplicate or degenerate rows; callers should fall back to
-    ``fit_pinv``, which handles that case.  ``rank`` is as in
-    ``fit_ols_under``.
+    ``fit_pinv``, which handles that case.
     """
     x, y = _validate_xy(x, y)
     n, d = x.shape
-    if n > d or _rank(x, rank) < n:
+    if n > d or svd(x).rank < n:
         raise RankDeficientError(
             f"Gram matrix is rank deficient for shape {n}x{d}"
         )
     gram = x @ x.T
     beta = x.T @ _solve(gram, y, "Gram min-norm")
-    return FitResult(
-        beta=beta,
-        regime=regime_of(n, d),
-        method="gram-min-norm",
-        train_mse=_mse(x, y, beta),
-    )
+    return FitResult(beta=beta, regime=regime_of(n, d), train_mse=_mse(x, y, beta))
 
 
 def fit_pinv(x, y, *, s: SvdResult | None = None) -> FitResult:
@@ -169,12 +156,7 @@ def fit_pinv(x, y, *, s: SvdResult | None = None) -> FitResult:
     """
     x, y = _validate_xy(x, y)
     beta = pseudoinverse_apply(x, y, s=s)
-    return FitResult(
-        beta=beta,
-        regime=regime_of(*x.shape),
-        method="pseudoinverse",
-        train_mse=_mse(x, y, beta),
-    )
+    return FitResult(beta=beta, regime=regime_of(*x.shape), train_mse=_mse(x, y, beta))
 
 
 def fit_ridge(x, y, lam: float, *, s: SvdResult | None = None) -> FitResult:
@@ -195,12 +177,7 @@ def fit_ridge(x, y, lam: float, *, s: SvdResult | None = None) -> FitResult:
         s = svd(x)
     sv = s.singular_values
     beta = s.v_cols @ (sv / (sv * sv + lam) * (s.u_cols.T @ y))
-    return FitResult(
-        beta=beta,
-        regime=regime_of(*x.shape),
-        method=f"ridge({lam:.12g})",
-        train_mse=_mse(x, y, beta),
-    )
+    return FitResult(beta=beta, regime=regime_of(*x.shape), train_mse=_mse(x, y, beta))
 
 
 def fit_gradient_descent(x, y, eta: float, steps: int, record_every: int = 0) -> GdTrace:

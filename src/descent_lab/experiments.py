@@ -2,10 +2,10 @@
 
 A sweep walks ``n_train`` across the interpolation threshold (or, for the
 polynomial variant, walks the feature count ``P`` across it at fixed ``n``),
-fits the regime-appropriate estimator in every (n_train, seed) cell, and
-records train/test error, the smallest nonzero singular value of the training
-matrix, and the mean magnitudes of the bias and variance terms of the error
-decomposition.
+fits the minimum-norm estimator X^+ y (or ridge, when asked) in every
+(n_train, seed) cell, and records train/test error, the smallest nonzero
+singular value of the training matrix, and the mean magnitudes of the bias
+and variance terms of the error decomposition.
 
 Each seed draws its training pool and its test set once and fits the ideal
 model beta_star once, on pool and test together; every cell of the seed
@@ -81,8 +81,8 @@ from .decomposition import (
     make_nested_ground_truth,
     smallest_nonzero_singular_value,
 )
-from .errors import ConfigError, EmptySpectrumError, RankDeficientError
-from .estimators import fit_min_norm, fit_ols_under, fit_pinv, fit_ridge
+from .errors import ConfigError, EmptySpectrumError
+from .estimators import fit_pinv, fit_ridge
 from .linalg import SvdResult, one_blas_thread, project_onto_rowspace, svd, truncate_svd
 
 N_TEST_SYNTHETIC = 256
@@ -110,9 +110,9 @@ class AblationKind:
     """Which spike ingredient to remove, and the cutoff where one applies.
 
     ``tau`` may be left as None on the cutoff-style ablations, meaning
-    "resolve the default from the sweep"; it must be positive for sv-cutoff
-    and nonnegative for test-projection (tau = 0 projects onto the full row
-    space).
+    "resolve the default from the sweep"; it must be finite, positive for
+    sv-cutoff and nonnegative for test-projection (tau = 0 projects onto the
+    full row space).
     """
 
     kind: str = "none"
@@ -123,6 +123,8 @@ class AblationKind:
             raise ConfigError(f"unknown ablation {self.kind!r}")
         if self.kind in ("none", "linearized-targets") and self.tau is not None:
             raise ConfigError(f"{self.kind} takes no cutoff")
+        if self.tau is not None and not math.isfinite(self.tau):
+            raise ConfigError(f"{self.kind} needs a finite tau, got {self.tau}")
         if self.kind == "sv-cutoff" and self.tau is not None and not self.tau > 0:
             raise ConfigError(f"sv-cutoff needs tau > 0, got {self.tau}")
         if self.kind == "test-projection" and self.tau is not None and self.tau < 0:
@@ -172,10 +174,12 @@ class EstimatorPolicy:
         if self.kind == "ridge":
             if (self.lam is None) == (self.auto_coeff is None):
                 raise ConfigError("ridge needs exactly one of lambda or auto_coeff")
-            if self.lam is not None and not self.lam > 0:
-                raise ConfigError(f"ridge needs lambda > 0, got {self.lam}")
-            if self.auto_coeff is not None and not self.auto_coeff > 0:
-                raise ConfigError("ridge auto coefficient must be > 0")
+            if self.lam is not None and not 0 < self.lam < math.inf:
+                raise ConfigError(f"ridge needs a finite lambda > 0, got {self.lam}")
+            if self.auto_coeff is not None and not 0 < self.auto_coeff < math.inf:
+                raise ConfigError(
+                    f"ridge auto coefficient must be finite and > 0, got {self.auto_coeff}"
+                )
 
     def label(self) -> str:
         if self.kind == "pinv":
@@ -315,6 +319,8 @@ def _validate_grid(grid: list[int], d: int, allow_narrow: bool) -> None:
 
 
 def _prepare(config: SweepConfig) -> _Plan:
+    if not 0 <= config.noise_sd < math.inf:
+        raise ConfigError(f"noise-sd must be finite and >= 0, got {config.noise_sd}")
     if config.source.startswith("csv:"):
         if not config.target_column:
             raise ConfigError("csv datasets need a target column")
@@ -428,34 +434,16 @@ def apply_ablation(
     return s, x_eval
 
 
-def _regime_fit(x: np.ndarray, y: np.ndarray, s: SvdResult | None = None):
-    """The regime-appropriate estimator: OLS when tall, Gram min-norm when
-    wide, pseudoinverse at the threshold and on rank-deficient input.
-
-    ``s`` is the cell's own factorization of ``x``, possibly truncated: its
-    rank spares the tall and wide fits a second factorization, and the
-    pseudoinverse fit uses its modes.  Left out, the fits factor ``x``.
-    """
-    n, d = x.shape
-    rank = None if s is None else s.rank
-    try:
-        if n > d:
-            return fit_ols_under(x, y, rank=rank)
-        if n < d:
-            return fit_min_norm(x, y, rank=rank)
-    except RankDeficientError:
-        pass
-    return fit_pinv(x, y, s=s)
-
-
 def _cell(
     x, y, x_eval, y_eval, s: SvdResult, gt: GroundTruth, policy: EstimatorPolicy
 ) -> dict:
     """The data columns of one cell's record, all from its one factorization.
 
     ``s`` factors the training rows ``x`` (truncated under sv-cutoff); the
-    fit, sigma_min and the decomposition all use it.  ``x_eval`` and
-    ``y_eval`` are the rows the test error is measured on.
+    fit, sigma_min and the decomposition all use it.  Unless ridge is asked
+    for, the fit is X^+ y on ``s``, the very estimator the decomposition
+    splits and crosschecks, so test_mse is the crosschecked error.
+    ``x_eval`` and ``y_eval`` are the rows the test error is measured on.
     """
     if policy.kind == "ridge" and s.rank > 0:
         lam = policy.lam
@@ -463,7 +451,7 @@ def _cell(
             lam = policy.auto_coeff * float(s.singular_values[0]) ** 2
         fit = fit_ridge(x, y, lam, s=s)
     else:
-        fit = _regime_fit(x, y, s)
+        fit = fit_pinv(x, y, s=s)
 
     resid = x_eval @ fit.beta - y_eval
     try:
@@ -626,6 +614,8 @@ def run_polynomial_sweep(
         raise ConfigError("P grid entries must be integers in [1, 200]")
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
+    if not 0 <= noise_sd < math.inf:
+        raise ConfigError(f"noise-sd must be finite and >= 0, got {noise_sd}")
     xs = np.linspace(-1.0, 1.0, DENSE_EVAL_POINTS)
     ye = polynomial_target(xs)
     p_max = max(p_grid)

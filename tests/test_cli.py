@@ -23,7 +23,8 @@ from descent_lab.decomposition import (
     make_nested_ground_truth,
 )
 from descent_lab.errors import ConfigError
-from descent_lab.experiments import SweepConfig, SweepRecord, _regime_fit, resolve_tau
+from descent_lab.estimators import fit_pinv
+from descent_lab.experiments import SweepConfig, SweepRecord, resolve_tau
 from descent_lab.linalg import pseudoinverse_apply, svd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -179,6 +180,33 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     assert "descent-lab" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--ablation", "test-projection:nan"],
+    ["--ablation", "test-projection:inf"],
+    ["--ablation", "sv-cutoff:nan"],
+    ["--estimator", "ridge:inf"],
+    ["--estimator", "ridge:auto:inf"],
+])
+def test_non_finite_cutoff_or_ridge_strength_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["sweep", "--d", "8", "--grid", "2:24", "--seeds", "0:1",
+                 *flags, "--out", str(out)]) == 2
+    assert not (out / "records.csv").exists()
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--d", "8", "--grid", "2:24", "--seeds", "0:1"],
+    ["polyfit", "--n", "8", "--p-grid", "2:16:2", "--seeds", "0:1"],
+])
+def test_bad_noise_sd_exits_2_before_any_record(tmp_path, capsys, command, noise):
+    out = tmp_path / "out"
+    assert main([*command, "--noise-sd", noise, "--out", str(out)]) == 2
+    assert not (out / "records.csv").exists()
+    assert "noise-sd must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_missing_dataset_exits_1(tmp_path, capsys):
     code = main([
         "sweep", "--dataset", f"csv:{tmp_path}/absent.csv", "--target-col", "y",
@@ -261,11 +289,10 @@ def test_sweep_without_blas_control_writes_the_same_records(tmp_path, monkeypatc
 
 def test_polyfit_records_match_the_per_cell_computation(tmp_path):
     # Seeds 0:1 of the documented polyfit command, byte for byte, against
-    # each cell computed apart from the sweep: its own regime fit (which
-    # factors the slice again where it falls back to the pseudoinverse),
-    # then the nested ground truth and the decomposition.  Sharing the cell
-    # SVD with the fit must not move a single bit of records.csv.  The cells
-    # are computed on one BLAS thread, as the sweep runs them.
+    # each cell computed apart from the sweep: the pseudoinverse fit on the
+    # slice's own SVD, then the nested ground truth and the decomposition on
+    # that same SVD.  The cells are computed on one BLAS thread, as the sweep
+    # runs them.
     out = tmp_path / "poly"
     argv = ["polyfit", "--n", "30", "--p-grid", "1:200", "--noise-sd", "0.5",
             "--seeds", "0:1", "--out", str(out)]
@@ -283,7 +310,7 @@ def test_polyfit_records_match_the_per_cell_computation(tmp_path):
                 x = np.ascontiguousarray(ds.X[:, :p])
                 xe = np.ascontiguousarray(xe_max[:, :p])
                 s = svd(x)
-                fit = _regime_fit(x, ds.Y)
+                fit = fit_pinv(x, ds.Y, s=s)
                 resid = xe @ fit.beta - ye
                 gt = make_nested_ground_truth(truth, x, ds.Y)
                 bias, var, _ = decompose_test_errors(xe, x, ds.Y, s, gt)

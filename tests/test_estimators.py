@@ -68,25 +68,6 @@ def test_ols_rejects_wrong_shapes_and_rank():
         fit_ols_under([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [1.0, 2.0, 3.0])
 
 
-def test_known_rank_spares_the_factorization_only():
-    rng = np.random.default_rng(14)
-    for fit, (n, d) in ((fit_ols_under, (9, 4)), (fit_min_norm, (4, 9))):
-        x = rng.standard_normal((n, d))
-        y = rng.standard_normal(n)
-        own = fit(x, y)
-        given = fit(x, y, rank=svd(x).rank)
-        assert given.beta.tobytes() == own.beta.tobytes()
-        assert given.train_mse == own.train_mse
-        with pytest.raises(RankDeficientError):
-            fit(x, y, rank=min(n, d) - 1)
-    # without a rank, both still find the deficiency themselves
-    deficient = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(RankDeficientError):
-        fit_ols_under(deficient, [1.0, 2.0, 3.0])
-    with pytest.raises(RankDeficientError):
-        fit_min_norm(deficient.T, [1.0, 2.0])
-
-
 def test_min_norm_symmetric_example():
     fit = fit_min_norm([[1.0, 1.0]], [2.0])
     assert_allclose(fit.beta, [1.0, 1.0])
@@ -110,6 +91,8 @@ def test_min_norm_rejects_tall_and_degenerate():
         fit_min_norm(np.ones((3, 2)), np.ones(3))  # tall
     with pytest.raises(RankDeficientError):
         fit_min_norm([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1.0, 1.0])  # dup rows
+    with pytest.raises(RankDeficientError):
+        fit_min_norm([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], [1.0, 2.0])  # parallel rows
 
 
 def test_min_norm_interpolates_and_minimizes_norm():

@@ -17,7 +17,13 @@ from descent_lab.data import (
     make_student_teacher,
     polynomial_target,
 )
-from descent_lab.decomposition import decompose_test_errors, make_ground_truth
+from descent_lab.decomposition import (
+    GroundTruth,
+    decompose_test_errors,
+    factor_nested_ground_truth,
+    make_ground_truth,
+    make_nested_ground_truth,
+)
 from descent_lab.errors import ConfigError
 from descent_lab.estimators import REGIME_INTERP, REGIME_OVER, REGIME_UNDER, fit_pinv
 from descent_lab.experiments import (
@@ -25,7 +31,6 @@ from descent_lab.experiments import (
     EstimatorPolicy,
     SweepConfig,
     SweepRecord,
-    _regime_fit,
     apply_ablation,
     default_synthetic_grid,
     median_series,
@@ -227,7 +232,7 @@ def _poly_cell_reference(p, n, seed, noise_sd):
     ds = make_polynomial_dataset(n, p, noise_sd, seed)
     xe = _legendre_matrix(xs, p)
     s = svd(ds.X)
-    fit = _regime_fit(ds.X, ds.Y)
+    fit = fit_pinv(ds.X, ds.Y, s=s)
     resid = xe @ fit.beta - ye
     gt = make_ground_truth(np.vstack([ds.X, xe]), np.concatenate([ds.Y, ye]), ds.X, ds.Y)
     bias, var, _ = decompose_test_errors(xe, ds.X, ds.Y, s, gt)
@@ -249,6 +254,33 @@ def test_polynomial_sweep_matches_the_per_cell_path():
         assert (r.d, r.seed, r.train_mse, r.test_mse, r.smallest_nonzero_sv,
                 r.regime) == exact
         assert_allclose((r.bias_term_mean, r.variance_term_mean), terms, rtol=1e-9)
+
+
+def _assert_test_mse_is_the_decomposed_error(record, x_eval, y_eval, x, y, s, gt):
+    # predicted = x_eval (beta_hat - beta_star) for the crosschecked fit
+    # beta_hat = X^+ y on s, so the record's test error must be its square.
+    _, _, predicted = decompose_test_errors(x_eval, x, y, s, gt)
+    err = predicted - (y_eval - x_eval @ gt.beta_star)
+    assert record.test_mse == pytest.approx(float(err @ err / len(err)), rel=1e-9)
+
+
+def test_polynomial_test_mse_is_the_decomposed_error():
+    grid, n, p_max = list(range(25, 46)), 30, 45
+    out = run_polynomial_sweep(grid, n=n, seeds=[0, 1], noise_sd=0.5)
+    assert not out.failures and len(out.records) == 2 * len(grid)
+    xs = np.linspace(-1.0, 1.0, 1000)
+    ye, xe_max = polynomial_target(xs), _legendre_matrix(xs, p_max)
+    for seed in (0, 1):
+        ds = make_polynomial_dataset(n, p_max, 0.5, seed)
+        truth = factor_nested_ground_truth(
+            np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+        )
+        for r in (r for r in out.records if r.seed == seed):
+            x = np.ascontiguousarray(ds.X[:, :r.d])
+            gt = make_nested_ground_truth(truth, x, ds.Y)
+            _assert_test_mse_is_the_decomposed_error(
+                r, xe_max[:, :r.d], ye, x, ds.Y, svd(x), gt
+            )
 
 
 def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
@@ -325,6 +357,22 @@ def test_crosscheck_runs_gelsd_only_on_truncated_cells(lstsq_calls, variant):
         assert sorted(lstsq_calls) == sorted(kept)
     else:
         assert lstsq_calls == []
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ridge:auto"])
+def test_headline_test_mse_is_the_decomposed_error(variant):
+    cfg = SweepConfig(d=32, noise_sd=0.25, grid=list(range(2, 97)), seeds=[0, 1],
+                      **VARIANTS[variant])
+    plan = experiments._prepare(cfg)
+    out = run_sweep(cfg, _plan=plan)
+    assert not out.failures and len(out.records) == 2 * 95
+    states = {seed: experiments._seed_state(plan, seed) for seed in (0, 1)}
+    for r in out.records:
+        pool, test, beta_star = states[r.seed]
+        x, y = pool.X[:r.n_train], pool.Y[:r.n_train]
+        s, x_eval = apply_ablation(plan.ablation, svd(x), test.X)
+        gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
+        _assert_test_mse_is_the_decomposed_error(r, x_eval, test.Y, x, y, s, gt)
 
 
 def test_seed_state_holds_under_a_thread_storm(monkeypatch):
@@ -536,7 +584,9 @@ def test_parse_ablation():
     assert parse_ablation("sv-cutoff") == AblationKind("sv-cutoff")
     assert parse_ablation("test-projection:auto") == AblationKind("test-projection")
     assert parse_ablation("linearized-targets") == AblationKind("linearized-targets")
-    for bad in ("flip-signs", "sv-cutoff:tiny", "sv-cutoff:-1", "none:0.5"):
+    for bad in ("flip-signs", "sv-cutoff:tiny", "sv-cutoff:-1", "none:0.5",
+                "sv-cutoff:nan", "sv-cutoff:inf", "test-projection:nan",
+                "test-projection:inf"):
         with pytest.raises(ConfigError):
             parse_ablation(bad)
 
@@ -548,7 +598,8 @@ def test_parse_estimator():
     assert auto.kind == "ridge" and auto.auto_coeff is not None and auto.lam is None
     assert parse_estimator("ridge:auto:0.1").auto_coeff == 0.1
     for bad in ("lasso", "ridge", "ridge:", "ridge:soft", "ridge:-1", "pinv:0.1",
-                "ridge:auto:junk", "ridge:auto:-2"):
+                "ridge:auto:junk", "ridge:auto:-2", "ridge:nan", "ridge:inf",
+                "ridge:auto:nan", "ridge:auto:inf"):
         with pytest.raises(ConfigError):
             parse_estimator(bad)
 
