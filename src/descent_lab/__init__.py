@@ -34,9 +34,7 @@ from .data import (
     make_polynomial_dataset,
     make_student_teacher,
     polynomial_target,
-    save_csv,
     split,
-    take_rows,
 )
 from .decomposition import (
     ErrorDecomposition,
@@ -159,10 +157,8 @@ __all__ = [
     "run_cell",
     "run_polynomial_sweep",
     "run_sweep",
-    "save_csv",
     "smallest_nonzero_singular_value",
     "split",
     "svd",
-    "take_rows",
     "truncate_svd",
 ]

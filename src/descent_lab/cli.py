@@ -34,13 +34,11 @@ from .errors import ConfigError, DescentLabError, DivergenceError
 from .estimators import default_learning_rate, fit_gradient_descent, fit_pinv
 from .experiments import (
     SweepConfig,
-    _prepare,
     median_series,
     parse_ablation,
     parse_estimator,
     run_polynomial_sweep,
     run_sweep,
-    worker_count,
 )
 from .linalg import pseudoinverse_apply
 from .svgplot import render_line_svg
@@ -110,25 +108,29 @@ def write_records_csv(path, records) -> None:
 
 
 def config_hash(config: dict) -> str:
-    """Stable digest of the canonicalized config.  Neither the timestamp nor
-    the output directory (``out``) participates, so an experiment hashes the
-    same wherever it is written."""
-    experiment = {k: v for k, v in config.items() if k != "out"}
+    """Stable digest of the canonicalized experiment.  ``write_manifest``
+    passes the config as typed overlaid with the run's ``resolved`` block,
+    so flags that resolve alike hash alike.  Neither the timestamp, the
+    output directory (``out``) nor the thread counts participate, so an
+    experiment hashes the same wherever and however it is run."""
+    experiment = {
+        k: v for k, v in config.items() if k not in ("out", "threads", "blas_threads")
+    }
     canon = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def write_manifest(path, command: str, config: dict, output_paths, *, extra=None) -> None:
+    extra = extra or {}
     manifest = {
         "command": command,
         "config": config,
-        "config_hash": config_hash(config),
+        "config_hash": config_hash({**config, **extra.get("resolved", {})}),
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "output_paths": [str(p) for p in output_paths],
     }
-    if extra:
-        manifest.update(extra)
+    manifest.update(extra)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -154,16 +156,46 @@ def _maybe_plot(out_dir: Path, name: str, series, labels, markers, **kw):
     return name
 
 
-def _sweep_exit_code(cells_total: int, cells_failed: int) -> int:
-    if cells_total == 0:
-        return 0
-    return 0 if (cells_total - cells_failed) / cells_total >= 0.9 else 1
+def _write_sweep(args, command: str, cfg: dict, outcome, *, key: str, failure_key: str,
+                 marker, medians, panel=None) -> int:
+    """Write one sweep's outputs into ``--out`` and return its exit code.
+
+    records.csv; for each of ``medians`` (file name, record field, series
+    label, plot keywords) a log-scale plot of that field's median per
+    ``key``, marked at the threshold ``marker``; the file ``panel(out_dir)``
+    draws, if any; and the manifest: ``cfg``, the cell counts, each failure
+    under ``failure_key`` and the outcome's ``resolved`` block.  Exit 0 when
+    at most 10% of the cells failed, else 1.
+    """
+    out_dir = _out_dir(args, f"runs/{command}")
+    write_records_csv(out_dir / "records.csv", outcome.records)
+    names = ["records.csv"]
+    for name, attr, label, kw in medians:
+        xs, med = median_series(outcome.records, attr, key=key)
+        names.append(_maybe_plot(out_dir, name, [(xs, med)], [label], [marker], log_y=True, **kw))
+    if panel is not None:
+        names.append(panel(out_dir))
+    failed = len(outcome.failures)
+    total = len(outcome.records) + failed
+    extra = {
+        "cells_total": total,
+        "cells_failed": failed,
+        "failures": [
+            {failure_key: f.n_train, "seed": f.seed, "error": f.error}
+            for f in outcome.failures
+        ],
+        "resolved": outcome.resolved,
+    }
+    outputs = [name for name in names if name] + ["manifest.json"]
+    cfg = {**cfg, "out": str(out_dir)}
+    write_manifest(out_dir / "manifest.json", command, cfg, outputs, extra=extra)
+    return 0 if 10 * failed <= total else 1
 
 
 def cmd_sweep(args) -> int:
     ablation = parse_ablation(args.ablation)
     estimator = parse_estimator(args.estimator)
-    config = SweepConfig(
+    outcome = run_sweep(SweepConfig(
         source=args.dataset,
         d=args.d,
         noise_sd=args.noise_sd,
@@ -174,46 +206,7 @@ def cmd_sweep(args) -> int:
         target_column=args.target_col,
         standardize=not args.no_standardize,
         allow_narrow_grid=args.allow_narrow_grid,
-    )
-    plan = _prepare(config)
-    out_dir = _out_dir(args, "runs/sweep")
-
-    outcome = run_sweep(config, _plan=plan)
-    write_records_csv(out_dir / "records.csv", outcome.records)
-    outputs = ["records.csv"]
-
-    d = plan.d
-    marker = [(d, f"n = D = {d}")]
-    ns, med_mse = median_series(outcome.records, "test_mse")
-    name = _maybe_plot(
-        out_dir,
-        "test-mse-vs-n.svg",
-        [(ns, med_mse)],
-        ["median test MSE"],
-        marker,
-        title=f"Test MSE across the interpolation threshold (D = {d})",
-        x_label="n_train",
-        y_label="test MSE",
-        log_y=True,
-    )
-    if name:
-        outputs.append(name)
-    ns_sv, med_sv = median_series(outcome.records, "smallest_nonzero_sv")
-    name = _maybe_plot(
-        out_dir,
-        "smallest-sv-vs-n.svg",
-        [(ns_sv, med_sv)],
-        ["median smallest nonzero SV"],
-        marker,
-        title=f"Smallest nonzero singular value of training X (D = {d})",
-        x_label="n_train",
-        y_label="singular value",
-        log_y=True,
-    )
-    if name:
-        outputs.append(name)
-
-    cells_total = len(plan.grid) * len(config.seeds)
+    ))
     cfg = {
         "dataset": args.dataset,
         "target_col": args.target_col,
@@ -224,28 +217,18 @@ def cmd_sweep(args) -> int:
         "ablation": ablation.label(),
         "estimator": estimator.label(),
         "standardize": not args.no_standardize,
-        "out": str(out_dir),
     }
-    extra = {
-        "cells_total": cells_total,
-        "cells_failed": len(outcome.failures),
-        "failures": [
-            {"n_train": f.n_train, "seed": f.seed, "error": f.error}
-            for f in outcome.failures
-        ],
-        "resolved": {
-            "d": d,
-            "grid": plan.grid,
-            "seeds": list(config.seeds),
-            "ablation": plan.ablation.label(),
-            "tau": plan.ablation.tau,
-            "threads": worker_count(),
-            "blas_threads": outcome.blas_threads,
-        },
-    }
-    outputs.append("manifest.json")
-    write_manifest(out_dir / "manifest.json", "sweep", cfg, outputs, extra=extra)
-    return _sweep_exit_code(cells_total, len(outcome.failures))
+    d = outcome.resolved["d"]
+    medians = [
+        ("test-mse-vs-n.svg", "test_mse", "median test MSE", dict(
+            title=f"Test MSE across the interpolation threshold (D = {d})",
+            x_label="n_train", y_label="test MSE")),
+        ("smallest-sv-vs-n.svg", "smallest_nonzero_sv", "median smallest nonzero SV", dict(
+            title=f"Smallest nonzero singular value of training X (D = {d})",
+            x_label="n_train", y_label="singular value")),
+    ]
+    return _write_sweep(args, "sweep", cfg, outcome, key="n_train", failure_key="n_train",
+                        marker=(d, f"n = D = {d}"), medians=medians)
 
 
 # P values for the fitted-curve panel: well under the threshold, at it, and
@@ -262,57 +245,23 @@ def _panel_degrees(n: int, p_grid: list[int]) -> list[int]:
 def cmd_polyfit(args) -> int:
     p_grid = _parse_grid(args.p_grid)
     seeds = _parse_seeds(args.seeds)
-    out_dir = _out_dir(args, "runs/polyfit")
-
     outcome = run_polynomial_sweep(p_grid, args.n, seeds, args.noise_sd)
-    write_records_csv(out_dir / "records.csv", outcome.records)
-    outputs = ["records.csv"]
-
-    marker = [(args.n, f"P = n = {args.n}")]
-    ps, med_mse = median_series(outcome.records, "test_mse", key="d")
-    name = _maybe_plot(
-        out_dir,
-        "test-mse-vs-p.svg",
-        [(ps, med_mse)],
-        ["median test MSE"],
-        marker,
-        title=f"Polynomial regression test MSE (n = {args.n})",
-        x_label="number of Legendre features P",
-        y_label="test MSE",
-        log_y=True,
-    )
-    if name:
-        outputs.append(name)
-
-    name = _write_curve_panel(out_dir, args.n, p_grid, seeds[0], args.noise_sd)
-    if name:
-        outputs.append(name)
-
     cfg = {
         "n": args.n,
         "p_grid": args.p_grid,
         "noise_sd": args.noise_sd,
         "seeds": args.seeds,
-        "out": str(out_dir),
     }
-    cells_total = len(p_grid) * len(seeds)
-    extra = {
-        "cells_total": cells_total,
-        "cells_failed": len(outcome.failures),
-        "failures": [
-            {"p": f.n_train, "seed": f.seed, "error": f.error}
-            for f in outcome.failures
-        ],
-        "resolved": {
-            "p_grid": p_grid,
-            "seeds": seeds,
-            "threads": worker_count(),
-            "blas_threads": outcome.blas_threads,
-        },
-    }
-    outputs.append("manifest.json")
-    write_manifest(out_dir / "manifest.json", "polyfit", cfg, outputs, extra=extra)
-    return _sweep_exit_code(cells_total, len(outcome.failures))
+    medians = [
+        ("test-mse-vs-p.svg", "test_mse", "median test MSE", dict(
+            title=f"Polynomial regression test MSE (n = {args.n})",
+            x_label="number of Legendre features P", y_label="test MSE")),
+    ]
+    return _write_sweep(
+        args, "polyfit", cfg, outcome, key="d", failure_key="p",
+        marker=(args.n, f"P = n = {args.n}"), medians=medians,
+        panel=lambda out_dir: _write_curve_panel(out_dir, args.n, p_grid, seeds[0], args.noise_sd),
+    )
 
 
 def _write_curve_panel(out_dir: Path, n: int, p_grid: list[int], seed: int, noise_sd: float):

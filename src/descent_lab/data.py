@@ -17,7 +17,6 @@ every platform.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .linalg import as_matrix, as_vector
 
 SOURCE_STUDENT_TEACHER = "synthetic-student-teacher"
 SOURCE_POLYNOMIAL = "polynomial"
@@ -258,43 +256,7 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
                    preprocessing=prep)
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV (12 significant digits) plus a JSON sidecar.
-
-    The sidecar, ``<path stem>.meta.json``, records source, seed, and
-    preprocessing so a cached dataset is reproducible.  Values written with
-    12 significant digits round-trip bit-for-bit through ``load_csv`` for
-    inputs that were themselves decimals of at most that precision.
-    """
-    path = Path(path)
-    as_matrix(ds.X, "X")
-    as_vector(ds.Y, "Y")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ds.feature_names) + ["target"])
-        for i in range(ds.n_rows):
-            writer.writerow(
-                [f"{v:.12g}" for v in ds.X[i]] + [f"{ds.Y[i]:.12g}"]
-            )
-    prep = ds.preprocessing
-    meta = {
-        "source": ds.source,
-        "seed": ds.seed,
-        "feature_names": list(ds.feature_names),
-        "preprocessing": {
-            "standardized": prep.standardized,
-            "column_means": None if prep.column_means is None else list(map(float, prep.column_means)),
-            "column_scales": None if prep.column_scales is None else list(map(float, prep.column_scales)),
-            "rows_dropped_for_missing": prep.rows_dropped_for_missing,
-            "constant_columns_dropped": prep.constant_columns_dropped,
-            "non_numeric_columns_dropped": prep.non_numeric_columns_dropped,
-        },
-    }
-    sidecar = path.with_name(path.stem + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-
-
-def take_rows(ds: Dataset, rows) -> Dataset:
+def _take_rows(ds: Dataset, rows) -> Dataset:
     """A new Dataset holding the given rows (indices or a slice) of ``ds``."""
     return Dataset(
         X=ds.X[rows],
@@ -321,4 +283,4 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         order = np.random.default_rng(spec.seed).permutation(n)
     else:
         order = np.arange(n)
-    return take_rows(ds, order[: spec.n_train]), take_rows(ds, order[spec.n_train :])
+    return _take_rows(ds, order[: spec.n_train]), _take_rows(ds, order[spec.n_train :])

@@ -240,11 +240,13 @@ class CellFailure:
 @dataclass
 class SweepOutcome:
     """All records of a sweep (sorted by n_train, seed) plus any failures, and
-    the BLAS thread count the cells ran with (None: BLAS left as it was)."""
+    what the sweep resolved: its grid, seeds and cutoff, the pool's
+    ``threads`` and the ``blas_threads`` the cells ran with (None: BLAS left
+    as it was)."""
 
     records: list[SweepRecord]
     failures: list[CellFailure] = field(default_factory=list)
-    blas_threads: int | None = None
+    resolved: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -543,7 +545,8 @@ def _run_cells(cells, one) -> SweepOutcome:
             failures.append(fail)
     records.sort(key=lambda r: (r.n_train, r.seed, r.d))
     failures.sort(key=lambda f: (f.n_train, f.seed))
-    return SweepOutcome(records=records, failures=failures, blas_threads=blas_threads)
+    resolved = {"threads": workers, "blas_threads": blas_threads}
+    return SweepOutcome(records=records, failures=failures, resolved=resolved)
 
 
 def _run_seeded(keys, seeds, build, cell) -> SweepOutcome:
@@ -578,19 +581,29 @@ def _run_seeded(keys, seeds, build, cell) -> SweepOutcome:
     return _run_cells(cells, one)
 
 
-def run_sweep(config: SweepConfig, *, _plan: _Plan | None = None) -> SweepOutcome:
+def run_sweep(config: SweepConfig) -> SweepOutcome:
     """Run every (n_train, seed) cell of the sweep.
 
     Output order is sorted by (n_train, seed) whatever the execution
     schedule, and identical configurations produce identical outcomes.
     Failed cells are collected, not fatal.  Each seed's state
     (``_seed_state``) is built by its first cell and shared by the rest
-    (``_run_seeded``).
+    (``_run_seeded``).  ``resolved`` holds d, the grid, the seeds, the
+    ablation label and its cutoff tau, and the thread counts.
     """
-    plan = _plan if _plan is not None else _prepare(config)
-    return _run_seeded(
+    plan = _prepare(config)
+    outcome = _run_seeded(
         plan.grid, config.seeds, partial(_seed_state, plan), partial(_linear_cell, plan)
     )
+    outcome.resolved = {
+        "d": plan.d,
+        "grid": plan.grid,
+        "seeds": list(config.seeds),
+        "ablation": plan.ablation.label(),
+        "tau": plan.ablation.tau,
+        **outcome.resolved,
+    }
+    return outcome
 
 
 def run_polynomial_sweep(
@@ -600,7 +613,8 @@ def run_polynomial_sweep(
 
     Test MSE is measured against a dense noiseless grid of 1,000 points on
     [-1, 1].  Records reuse the sweep schema with d = P.  Duplicate grid
-    entries produce duplicate records.
+    entries produce duplicate records.  ``resolved`` holds the P grid, the
+    seeds and the thread counts.
 
     Legendre columns nest across P, so each seed's state, built by its
     first cell (``_run_seeded``), is its training set drawn once at P_max
@@ -642,7 +656,10 @@ def run_polynomial_sweep(
             **_cell(x, ds.Y, xe, ye, svd(x), gt, pinv),
         )
 
-    return _run_seeded([int(p) for p in p_grid], seeds, build, cell)
+    p_grid = [int(p) for p in p_grid]
+    outcome = _run_seeded(p_grid, seeds, build, cell)
+    outcome.resolved = {"p_grid": p_grid, "seeds": list(seeds), **outcome.resolved}
+    return outcome
 
 
 def peak_ratio(records: list[SweepRecord], d: int) -> float:

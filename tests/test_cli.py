@@ -81,6 +81,26 @@ def test_config_hash_is_stable_and_sensitive():
     assert set(config_hash(a)) <= set("0123456789abcdef")
     assert config_hash(a) != config_hash({**a, "seeds": "0:5"})
     assert config_hash(a) != config_hash({**a, "noise_sd": 0.3})
+    # where and on how many threads a run went is not the experiment
+    assert config_hash(a) == config_hash({**a, "out": "x", "threads": 3, "blas_threads": 1})
+
+
+def test_config_hash_identifies_the_resolved_experiment(tmp_path, monkeypatch):
+    def run(name, *argv, threads="2"):
+        monkeypatch.setenv("DESCENT_LAB_THREADS", threads)
+        out = tmp_path / name
+        assert main(["sweep", *argv, "--seeds", "0:1", "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    # the default grid of D = 8 is 2:24, and the thread count is no flag
+    default = run("default", "--d", "8")
+    assert run("typed", "--d", "8", "--grid", "2:24") == default
+    assert run("serial", "--d", "8", threads="1") == default
+    typed = (tmp_path / "typed" / "records.csv").read_bytes()
+    assert typed == (tmp_path / "default" / "records.csv").read_bytes()
+    # a csv dataset sets D itself, so --d does not reach the experiment
+    csv_run = ["--dataset", f"csv:{REPO / 'data' / 'diabetes.csv'}", "--target-col", "target"]
+    assert run("csv5", *csv_run, "--d", "5") == run("csv20", *csv_run, "--d", "20")
 
 
 def held_blas_threads():
@@ -171,10 +191,13 @@ def test_manifest_records_tau_at_full_precision(tmp_path, ablation):
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):
-    assert main(["sweep", "--grid", "junk", "--out", str(tmp_path)]) == 2
-    assert main(["sweep", "--ablation", "flip-signs", "--out", str(tmp_path)]) == 2
-    assert main(["sweep", "--estimator", "lasso", "--out", str(tmp_path)]) == 2
-    assert main(["sweep", "--noise-sd", "-0.5", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["sweep", "--grid", "junk", "--out", str(out)]) == 2
+    assert main(["sweep", "--ablation", "flip-signs", "--out", str(out)]) == 2
+    assert main(["sweep", "--estimator", "lasso", "--out", str(out)]) == 2
+    assert main(["sweep", "--noise-sd", "-0.5", "--out", str(out)]) == 2
+    assert main(["polyfit", "--p-grid", "1:300", "--out", str(out)]) == 2
+    assert not out.exists()  # a rejected run leaves no output directory
     assert main(["frobnicate"]) == 2  # argparse rejects unknown subcommands
     err = capsys.readouterr().err
     assert "descent-lab" in err
@@ -203,7 +226,7 @@ def test_non_finite_cutoff_or_ridge_strength_exits_2(tmp_path, capsys, flags):
 def test_bad_noise_sd_exits_2_before_any_record(tmp_path, capsys, command, noise):
     out = tmp_path / "out"
     assert main([*command, "--noise-sd", noise, "--out", str(out)]) == 2
-    assert not (out / "records.csv").exists()
+    assert not out.exists()
     assert "noise-sd must be finite and >= 0" in capsys.readouterr().err
 
 
@@ -327,18 +350,40 @@ def test_polyfit_records_match_the_per_cell_computation(tmp_path):
     assert (out / "records.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_readme_diabetes_command_runs(tmp_path, monkeypatch):
-    readme = (REPO / "README.md").read_text(encoding="utf-8")
-    line = next(
-        ln for ln in readme.splitlines() if ln.startswith("descent-lab sweep --dataset csv:")
-    )
-    argv = shlex.split(line)[1:]
-    argv[argv.index("--seeds") + 1] = "0:1"  # fewer seeds, same command
-    argv[argv.index("--out") + 1] = str(tmp_path / "diabetes")
-    monkeypatch.chdir(REPO)  # the README path is relative to the checkout
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("descent-lab ")
+]
+# The manifest's resolved block, key by key, for each subcommand.
+RESOLVED_KEYS = {
+    "sweep": ["d", "grid", "seeds", "ablation", "tau", "threads", "blas_threads"],
+    "polyfit": ["p_grid", "seeds", "threads", "blas_threads"],
+    "gdcheck": ["etas", "record_every"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", README_COMMANDS, ids=[argv[argv.index("--out") + 1] for argv in README_COMMANDS]
+)
+def test_readme_command_runs(tmp_path, monkeypatch, argv):
+    # as written, on seeds 0:1 (fewer seeds, same command) into a tmp --out
+    argv = list(argv)
+    if "--seeds" in argv:
+        argv[argv.index("--seeds") + 1] = "0:1"
+    else:
+        argv += ["--seeds", "0:1"]
+    out = tmp_path / "out"
+    argv[argv.index("--out") + 1] = str(out)
+    monkeypatch.chdir(REPO)  # README paths are relative to the checkout
     assert main(argv) == 0
-    rows = read_csv_rows(tmp_path / "diabetes" / "records.csv")
-    assert rows and all(r["d"] == "10" for r in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest.get("cells_failed", 0) == 0
+    assert list(manifest["resolved"]) == RESOLVED_KEYS[argv[0]]
+    if argv[0] == "sweep":
+        rows = read_csv_rows(out / "records.csv")
+        assert len(rows) == manifest["cells_total"]
+        assert {r["d"] for r in rows} == {str(manifest["resolved"]["d"])}
 
 
 @pytest.mark.parametrize("extra", [

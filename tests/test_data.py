@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +12,7 @@ from descent_lab.data import (
     make_polynomial_dataset,
     make_student_teacher,
     polynomial_target,
-    save_csv,
     split,
-    take_rows,
 )
 from descent_lab.errors import ConfigError, DataError, DomainError
 from descent_lab.linalg import pseudoinverse_apply
@@ -204,28 +201,6 @@ def test_load_csv_ignores_non_finite_text_in_dropped_columns(tmp_path):
     assert ds.preprocessing.non_numeric_columns_dropped == ["note"]
 
 
-def test_save_then_load_round_trips_bit_for_bit(tmp_path):
-    # diabetes.csv holds short decimals, well under 12 significant digits
-    ds = load_csv(DIABETES, "target")
-    out = tmp_path / "again.csv"
-    save_csv(ds, out)
-    back = load_csv(out, "target")
-    assert back.feature_names == ds.feature_names
-    assert (back.X == ds.X).all()
-    assert (back.Y == ds.Y).all()
-
-
-def test_save_csv_writes_meta_sidecar(tmp_path):
-    ds, _ = make_student_teacher(5, 3, 0.1, seed=42)
-    out = tmp_path / "toy.csv"
-    save_csv(ds, out)
-    meta = json.loads((tmp_path / "toy.meta.json").read_text())
-    assert meta["seed"] == 42
-    assert meta["source"] == ds.source
-    assert meta["feature_names"] == ds.feature_names
-    assert meta["preprocessing"]["standardized"] is False
-
-
 def test_diabetes_file_shape():
     ds = load_csv(DIABETES, "target")
     assert ds.n_rows == 442
@@ -263,9 +238,11 @@ def test_split_rejects_out_of_range_sizes():
         split(ds, SplitSpec(n_train=5, seed=0))
 
 
-def test_take_rows_preserves_metadata():
+def test_split_preserves_metadata():
     ds, _ = make_student_teacher(8, 2, 0.0, seed=3)
-    sub = take_rows(ds, [1, 3, 5])
-    assert sub.n_rows == 3
-    assert (sub.X == ds.X[[1, 3, 5]]).all()
-    assert sub.source == ds.source and sub.seed == ds.seed
+    train, test = split(ds, SplitSpec(n_train=3, seed=5, shuffle=False))
+    for part, rows in ((train, slice(0, 3)), (test, slice(3, 8))):
+        assert (part.X == ds.X[rows]).all() and (part.Y == ds.Y[rows]).all()
+        assert part.source == ds.source and part.seed == ds.seed
+        assert part.feature_names == ds.feature_names
+        assert part.preprocessing is ds.preprocessing

@@ -327,12 +327,13 @@ VARIANTS = {
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sweep_fits_ground_truth_per_seed_and_factors_each_cell_once(monkeypatch, variant):
     cfg = small_config(seeds=[0, 1, 2], **VARIANTS[variant])
-    plan = experiments._prepare(cfg)  # the cutoff pre-pass is not a cell
     svds = _count_calls(monkeypatch, linalg, "svd")
     truths = _count_calls(monkeypatch, decomposition, "make_ground_truth")
     ablations = _count_calls(monkeypatch, experiments, "apply_ablation")
     monkeypatch.setenv("DESCENT_LAB_THREADS", "3")
-    out = run_sweep(cfg, _plan=plan)
+    # the cutoff pre-pass reads sigma_max with np.linalg.svd, so none of the
+    # calls counted here is its own
+    out = run_sweep(cfg)
     assert not out.failures
     # one beta_star per seed, on its 24 pool rows and 256 test rows, also
     # when several threads reach a seed at once; one SVD per cell, n = D
@@ -364,7 +365,7 @@ def test_headline_test_mse_is_the_decomposed_error(variant):
     cfg = SweepConfig(d=32, noise_sd=0.25, grid=list(range(2, 97)), seeds=[0, 1],
                       **VARIANTS[variant])
     plan = experiments._prepare(cfg)
-    out = run_sweep(cfg, _plan=plan)
+    out = run_sweep(cfg)
     assert not out.failures and len(out.records) == 2 * 95
     states = {seed: experiments._seed_state(plan, seed) for seed in (0, 1)}
     for r in out.records:
@@ -469,7 +470,7 @@ def test_cells_run_on_one_blas_thread(monkeypatch, blas_count):
     _spy_cells(monkeypatch, lambda plan, n_train, seed: counts.append(blas_count()))
     monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
     out = run_sweep(small_config(seeds=[0, 1]))
-    assert not out.failures and out.blas_threads == 1
+    assert not out.failures and out.resolved["blas_threads"] == 1
     assert counts == [1] * len(out.records)
     assert blas_count() == 2
 

@@ -69,7 +69,8 @@ def test_an_explicit_thread_count_wins_and_sweeps_still_hold_one(two_cpus, var):
     report = run_child(
         "import descent_lab",
         "out = descent_lab.run_sweep(descent_lab.SweepConfig(d=8, grid=[2, 8, 16], seeds=[0]))\n"
-        "report.update(held=out.blas_threads, failures=len(out.failures), after=counts())",
+        "report.update(held=out.resolved['blas_threads'], failures=len(out.failures),\n"
+        "              after=counts())",
         **{var: "2"})
     assert set(report["counts"]) == {2} and report["env"] == {var: "2"}
     assert report["failures"] == 0 and report["held"] == 1
