@@ -16,6 +16,7 @@
 #
 # Usage:  python3 scripts/fetch_datasets.py [--force]
 
+import argparse
 import sys
 import urllib.request
 from pathlib import Path
@@ -49,9 +50,15 @@ def render(rows) -> str:
 
 
 def main() -> int:
-    force = "--force" in sys.argv[1:]
+    parser = argparse.ArgumentParser(
+        description="Download the diabetes table and rewrite data/diabetes.csv from it."
+    )
+    parser.add_argument(
+        "--force", action="store_true", help="overwrite a committed file that differs"
+    )
+    args = parser.parse_args()
     text = render(fetch())
-    if OUT.exists() and not force:
+    if OUT.exists() and not args.force:
         if OUT.read_text(encoding="utf-8") == text:
             print(f"{OUT} already matches the canonical source")
             return 0

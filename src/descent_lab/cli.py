@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -34,6 +35,7 @@ from .errors import ConfigError, DescentLabError, DivergenceError
 from .estimators import default_learning_rate, fit_gradient_descent, fit_pinv
 from .experiments import (
     SweepConfig,
+    SweepRecord,
     median_series,
     parse_ablation,
     parse_estimator,
@@ -43,10 +45,7 @@ from .experiments import (
 from .linalg import pseudoinverse_apply
 from .svgplot import render_line_svg
 
-CSV_HEADER = (
-    "n_train,d,seed,ablation,estimator,train_mse,test_mse,"
-    "smallest_nonzero_sv,bias_term_mean,variance_term_mean,regime"
-)
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(SweepRecord))
 GD_REL_TOL = 1e-6
 
 
@@ -75,62 +74,60 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return _parse_range(text, "seeds")
+    seeds = _parse_range(text, "seeds")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {text!r}")
+    return seeds
 
 
 def _num(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _field_text(value):
+    if isinstance(value, float):
+        return _num(value)
+    return "" if value is None else value
+
+
 def write_records_csv(path, records) -> None:
-    """records.csv with the stable schema: 12 significant digits, rows
-    sorted by (n_train, seed), LF line endings, empty cell for a missing
-    smallest_nonzero_sv."""
+    """records.csv with the stable schema: one column per ``SweepRecord``
+    field in its order, floats to 12 significant digits, an empty cell for
+    None, rows sorted by (n_train, seed), LF line endings."""
+    names = CSV_HEADER.split(",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER.split(","))
+        w.writerow(names)
         for r in records:
-            w.writerow(
-                [
-                    r.n_train,
-                    r.d,
-                    r.seed,
-                    r.ablation,
-                    r.estimator,
-                    _num(r.train_mse),
-                    _num(r.test_mse),
-                    "" if r.smallest_nonzero_sv is None else _num(r.smallest_nonzero_sv),
-                    _num(r.bias_term_mean),
-                    _num(r.variance_term_mean),
-                    r.regime,
-                ]
-            )
+            w.writerow([_field_text(getattr(r, name)) for name in names])
 
 
-def config_hash(config: dict) -> str:
-    """Stable digest of the canonicalized experiment.  ``write_manifest``
-    passes the config as typed overlaid with the run's ``resolved`` block,
-    so flags that resolve alike hash alike.  Neither the timestamp, the
-    output directory (``out``) nor the thread counts participate, so an
-    experiment hashes the same wherever and however it is run."""
-    experiment = {
-        k: v for k, v in config.items() if k not in ("out", "threads", "blas_threads")
-    }
+def config_hash(resolved: dict) -> str:
+    """Stable digest of a run's ``resolved`` block, the values that decide
+    its outputs.  The thread counts are left out, so an experiment hashes
+    the same however it is run; the timestamp and the output directory
+    never enter ``resolved``."""
+    experiment = {k: v for k, v in resolved.items() if k not in ("threads", "blas_threads")}
     canon = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def write_manifest(path, command: str, config: dict, output_paths, *, extra=None) -> None:
-    extra = extra or {}
+def write_manifest(path, args, output_paths, resolved: dict, **extra) -> None:
+    """manifest.json at ``path``: the flags as parsed (``config``, with
+    ``out`` set to the directory written), ``config_hash``, the outputs,
+    ``extra`` and ``resolved``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    config["out"] = str(Path(path).parent)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "config_hash": config_hash({**config, **extra.get("resolved", {})}),
+        "config_hash": config_hash(resolved),
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "output_paths": [str(p) for p in output_paths],
+        **extra,
+        "resolved": resolved,
     }
-    manifest.update(extra)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -156,18 +153,18 @@ def _maybe_plot(out_dir: Path, name: str, series, labels, markers, **kw):
     return name
 
 
-def _write_sweep(args, command: str, cfg: dict, outcome, *, key: str, failure_key: str,
-                 marker, medians, panel=None) -> int:
+def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
+                 panel=None) -> int:
     """Write one sweep's outputs into ``--out`` and return its exit code.
 
     records.csv; for each of ``medians`` (file name, record field, series
     label, plot keywords) a log-scale plot of that field's median per
     ``key``, marked at the threshold ``marker``; the file ``panel(out_dir)``
-    draws, if any; and the manifest: ``cfg``, the cell counts, each failure
-    under ``failure_key`` and the outcome's ``resolved`` block.  Exit 0 when
-    at most 10% of the cells failed, else 1.
+    draws, if any; and the manifest: the cell counts, each failure under
+    ``failure_key`` and the outcome's ``resolved`` block.  Exit 0 when at
+    most 10% of the cells failed, else 1.
     """
-    out_dir = _out_dir(args, f"runs/{command}")
+    out_dir = _out_dir(args, f"runs/{args.command}")
     write_records_csv(out_dir / "records.csv", outcome.records)
     names = ["records.csv"]
     for name, attr, label, kw in medians:
@@ -177,47 +174,28 @@ def _write_sweep(args, command: str, cfg: dict, outcome, *, key: str, failure_ke
         names.append(panel(out_dir))
     failed = len(outcome.failures)
     total = len(outcome.records) + failed
-    extra = {
-        "cells_total": total,
-        "cells_failed": failed,
-        "failures": [
-            {failure_key: f.n_train, "seed": f.seed, "error": f.error}
-            for f in outcome.failures
-        ],
-        "resolved": outcome.resolved,
-    }
+    failures = [
+        {failure_key: f.n_train, "seed": f.seed, "error": f.error} for f in outcome.failures
+    ]
     outputs = [name for name in names if name] + ["manifest.json"]
-    cfg = {**cfg, "out": str(out_dir)}
-    write_manifest(out_dir / "manifest.json", command, cfg, outputs, extra=extra)
+    write_manifest(out_dir / "manifest.json", args, outputs, outcome.resolved,
+                   cells_total=total, cells_failed=failed, failures=failures)
     return 0 if 10 * failed <= total else 1
 
 
 def cmd_sweep(args) -> int:
-    ablation = parse_ablation(args.ablation)
-    estimator = parse_estimator(args.estimator)
     outcome = run_sweep(SweepConfig(
         source=args.dataset,
         d=args.d,
         noise_sd=args.noise_sd,
         grid=_parse_grid(args.grid) if args.grid else None,
         seeds=_parse_seeds(args.seeds),
-        ablation=ablation,
-        estimator=estimator,
+        ablation=parse_ablation(args.ablation),
+        estimator=parse_estimator(args.estimator),
         target_column=args.target_col,
         standardize=not args.no_standardize,
         allow_narrow_grid=args.allow_narrow_grid,
     ))
-    cfg = {
-        "dataset": args.dataset,
-        "target_col": args.target_col,
-        "d": args.d,
-        "noise_sd": args.noise_sd,
-        "grid": args.grid,
-        "seeds": args.seeds,
-        "ablation": ablation.label(),
-        "estimator": estimator.label(),
-        "standardize": not args.no_standardize,
-    }
     d = outcome.resolved["d"]
     medians = [
         ("test-mse-vs-n.svg", "test_mse", "median test MSE", dict(
@@ -227,7 +205,7 @@ def cmd_sweep(args) -> int:
             title=f"Smallest nonzero singular value of training X (D = {d})",
             x_label="n_train", y_label="singular value")),
     ]
-    return _write_sweep(args, "sweep", cfg, outcome, key="n_train", failure_key="n_train",
+    return _write_sweep(args, outcome, key="n_train", failure_key="n_train",
                         marker=(d, f"n = D = {d}"), medians=medians)
 
 
@@ -246,19 +224,13 @@ def cmd_polyfit(args) -> int:
     p_grid = _parse_grid(args.p_grid)
     seeds = _parse_seeds(args.seeds)
     outcome = run_polynomial_sweep(p_grid, args.n, seeds, args.noise_sd)
-    cfg = {
-        "n": args.n,
-        "p_grid": args.p_grid,
-        "noise_sd": args.noise_sd,
-        "seeds": args.seeds,
-    }
     medians = [
         ("test-mse-vs-p.svg", "test_mse", "median test MSE", dict(
             title=f"Polynomial regression test MSE (n = {args.n})",
             x_label="number of Legendre features P", y_label="test MSE")),
     ]
     return _write_sweep(
-        args, "polyfit", cfg, outcome, key="d", failure_key="p",
+        args, outcome, key="d", failure_key="p",
         marker=(args.n, f"P = n = {args.n}"), medians=medians,
         panel=lambda out_dir: _write_curve_panel(out_dir, args.n, p_grid, seeds[0], args.noise_sd),
     )
@@ -363,20 +335,17 @@ def cmd_gdcheck(args) -> int:
     if name:
         outputs.append(name)
 
-    cfg = {
+    resolved = {
         "n": args.n,
         "d": args.d,
         "steps": args.steps,
-        "eta": args.eta,
-        "seeds": args.seeds,
-        "out": str(out_dir),
-    }
-    extra = {
-        "resolved": {"etas": etas, "record_every": record_every},
-        "all_converged": bool(all(finals)),
+        "seeds": seeds,
+        "etas": etas,
+        "record_every": record_every,
     }
     outputs.append("manifest.json")
-    write_manifest(out_dir / "manifest.json", "gdcheck", cfg, outputs, extra=extra)
+    write_manifest(out_dir / "manifest.json", args, outputs, resolved,
+                   all_converged=bool(all(finals)))
     return 0 if all(finals) else 1
 
 

@@ -240,9 +240,9 @@ class CellFailure:
 @dataclass
 class SweepOutcome:
     """All records of a sweep (sorted by n_train, seed) plus any failures, and
-    what the sweep resolved: its grid, seeds and cutoff, the pool's
-    ``threads`` and the ``blas_threads`` the cells ran with (None: BLAS left
-    as it was)."""
+    ``resolved``, every value that decides the records (its source, grid,
+    seeds, cutoff and the like), then the pool's ``threads`` and the
+    ``blas_threads`` the cells ran with (None: BLAS left as it was)."""
 
     records: list[SweepRecord]
     failures: list[CellFailure] = field(default_factory=list)
@@ -588,19 +588,31 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
     schedule, and identical configurations produce identical outcomes.
     Failed cells are collected, not fatal.  Each seed's state
     (``_seed_state``) is built by its first cell and shared by the rest
-    (``_run_seeded``).  ``resolved`` holds d, the grid, the seeds, the
-    ablation label and its cutoff tau, and the thread counts.
+    (``_run_seeded``).  ``resolved`` holds the source and what applies to
+    it (the noise level for synthetic data, the target column and
+    standardization for a csv), d, the grid, the seeds, the ablation label
+    and its cutoff tau, the estimator label, and the thread counts.
     """
     plan = _prepare(config)
     outcome = _run_seeded(
         plan.grid, config.seeds, partial(_seed_state, plan), partial(_linear_cell, plan)
     )
+    if plan.csv_ds is None:
+        data = {"source": config.source, "d": plan.d, "noise_sd": config.noise_sd}
+    else:
+        data = {
+            "source": config.source,
+            "target_column": config.target_column,
+            "standardize": config.standardize,
+            "d": plan.d,
+        }
     outcome.resolved = {
-        "d": plan.d,
+        **data,
         "grid": plan.grid,
         "seeds": list(config.seeds),
         "ablation": plan.ablation.label(),
         "tau": plan.ablation.tau,
+        "estimator": config.estimator.label(),
         **outcome.resolved,
     }
     return outcome
@@ -613,8 +625,8 @@ def run_polynomial_sweep(
 
     Test MSE is measured against a dense noiseless grid of 1,000 points on
     [-1, 1].  Records reuse the sweep schema with d = P.  Duplicate grid
-    entries produce duplicate records.  ``resolved`` holds the P grid, the
-    seeds and the thread counts.
+    entries produce duplicate records.  ``resolved`` holds n, the noise
+    level, the P grid, the seeds and the thread counts.
 
     Legendre columns nest across P, so each seed's state, built by its
     first cell (``_run_seeded``), is its training set drawn once at P_max
@@ -658,7 +670,9 @@ def run_polynomial_sweep(
 
     p_grid = [int(p) for p in p_grid]
     outcome = _run_seeded(p_grid, seeds, build, cell)
-    outcome.resolved = {"p_grid": p_grid, "seeds": list(seeds), **outcome.resolved}
+    outcome.resolved = {
+        "n": n, "noise_sd": noise_sd, "p_grid": p_grid, "seeds": list(seeds), **outcome.resolved
+    }
     return outcome
 
 

@@ -28,6 +28,11 @@ from descent_lab.experiments import SweepConfig, SweepRecord, resolve_tau
 from descent_lab.linalg import pseudoinverse_apply, svd
 
 REPO = Path(__file__).resolve().parent.parent
+# The records.csv header line as README documents it.
+README_HEADER = next(
+    line for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("n_train,")
+)
 
 def test_parse_grid_forms():
     assert _parse_grid("7") == [7]
@@ -64,7 +69,9 @@ def test_records_csv_schema(tmp_path):
     write_records_csv(path, sample_records())
     raw = path.read_bytes().decode("utf-8")
     lines = raw.split("\n")
-    assert lines[0] == CSV_HEADER
+    # the header follows SweepRecord's fields, so pin it to the documented one
+    assert CSV_HEADER == README_HEADER
+    assert lines[0] == README_HEADER
     assert "\r" not in raw  # LF only, also on platforms that default to CRLF
     row = lines[1].split(",")
     assert row[:5] == ["2", "4", "0", "none", "pinv"]
@@ -81,8 +88,8 @@ def test_config_hash_is_stable_and_sensitive():
     assert set(config_hash(a)) <= set("0123456789abcdef")
     assert config_hash(a) != config_hash({**a, "seeds": "0:5"})
     assert config_hash(a) != config_hash({**a, "noise_sd": 0.3})
-    # where and on how many threads a run went is not the experiment
-    assert config_hash(a) == config_hash({**a, "out": "x", "threads": 3, "blas_threads": 1})
+    # how many threads a run went on is not the experiment
+    assert config_hash(a) == config_hash({**a, "threads": 3, "blas_threads": 1})
 
 
 def test_config_hash_identifies_the_resolved_experiment(tmp_path, monkeypatch):
@@ -100,7 +107,17 @@ def test_config_hash_identifies_the_resolved_experiment(tmp_path, monkeypatch):
     assert typed == (tmp_path / "default" / "records.csv").read_bytes()
     # a csv dataset sets D itself, so --d does not reach the experiment
     csv_run = ["--dataset", f"csv:{REPO / 'data' / 'diabetes.csv'}", "--target-col", "target"]
-    assert run("csv5", *csv_run, "--d", "5") == run("csv20", *csv_run, "--d", "20")
+    csv_default = run("csv5", *csv_run, "--d", "5")
+    assert run("csv20", *csv_run, "--d", "20") == csv_default
+    # nor do other flags that do not apply to the source ...
+    csv_noise = run("csv-noise1", *csv_run, "--noise-sd", "0.1")
+    assert csv_noise == run("csv-noise3", *csv_run, "--noise-sd", "0.3")
+    assert run("raw", "--d", "8", "--no-standardize") == default
+    assert run("target", "--d", "8", "--target-col", "foo") == default
+    # ... while those that do apply do
+    assert run("csv-raw", *csv_run, "--no-standardize") != csv_default
+    noise = run("noise1", "--d", "8", "--noise-sd", "0.1")
+    assert noise != run("noise3", "--d", "8", "--noise-sd", "0.3")
 
 
 def held_blas_threads():
@@ -201,6 +218,29 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     assert main(["frobnicate"]) == 2  # argparse rejects unknown subcommands
     err = capsys.readouterr().err
     assert "descent-lab" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--d", "8", "--seeds=-1:0"],
+    ["sweep", "--d", "8", "--seeds=-1:0", "--ablation", "sv-cutoff"],
+    ["polyfit", "--n", "8", "--p-grid", "2:16:2", "--seeds=-2"],
+    ["gdcheck", "--n", "4", "--d", "8", "--steps", "10", "--seeds=-1"],
+], ids=["sweep", "sweep-sv-cutoff", "polyfit", "gdcheck"])
+def test_negative_seeds_exit_2_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "seeds must be >= 0" in capsys.readouterr().err
+
+
+def test_narrow_grid_needs_its_flag(tmp_path):
+    narrow = ["sweep", "--d", "32", "--grid", "40:50", "--seeds", "0"]
+    out = tmp_path / "narrow"
+    assert main([*narrow, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main([*narrow, "--allow-narrow-grid", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["allow_narrow_grid"] is True
 
 
 @pytest.mark.parametrize("flags", [
@@ -355,11 +395,15 @@ README_COMMANDS = [
     for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines()
     if line.startswith("descent-lab ")
 ]
-# The manifest's resolved block, key by key, for each subcommand.
+# The manifest's resolved block, key by key, for each subcommand (and for
+# each source of sweep).
 RESOLVED_KEYS = {
-    "sweep": ["d", "grid", "seeds", "ablation", "tau", "threads", "blas_threads"],
-    "polyfit": ["p_grid", "seeds", "threads", "blas_threads"],
-    "gdcheck": ["etas", "record_every"],
+    "sweep": ["source", "d", "noise_sd", "grid", "seeds", "ablation", "tau", "estimator",
+              "threads", "blas_threads"],
+    "csv sweep": ["source", "target_column", "standardize", "d", "grid", "seeds", "ablation",
+                  "tau", "estimator", "threads", "blas_threads"],
+    "polyfit": ["n", "noise_sd", "p_grid", "seeds", "threads", "blas_threads"],
+    "gdcheck": ["n", "d", "steps", "seeds", "etas", "record_every"],
 }
 
 
@@ -379,7 +423,8 @@ def test_readme_command_runs(tmp_path, monkeypatch, argv):
     assert main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest.get("cells_failed", 0) == 0
-    assert list(manifest["resolved"]) == RESOLVED_KEYS[argv[0]]
+    csv_source = manifest["config"].get("dataset", "").startswith("csv:")
+    assert list(manifest["resolved"]) == RESOLVED_KEYS["csv sweep" if csv_source else argv[0]]
     if argv[0] == "sweep":
         rows = read_csv_rows(out / "records.csv")
         assert len(rows) == manifest["cells_total"]
