@@ -133,12 +133,13 @@ class NestedGroundTruth:
     with the rank tolerance of the block's own shape, max(N, P), so it keeps
     the modes ``make_ground_truth`` keeps on the explicit block.
 
-    ``full_rank`` says whether A itself keeps all P_max modes.  Dropping
-    columns can only raise the smallest singular value and lower the largest
-    (interlacing), so the tolerance max(N, P) sigma_max * RANK_TOLERANCE_SCALE
-    can only shrink with them.  A full-rank A therefore has full-rank leading
-    blocks, and pinv(R[:P, :P]) is the inverse: one triangular solve instead
-    of an SVD per block.
+    ``r_inv`` is R^-1 when A itself keeps all P_max modes, else None.
+    Dropping columns can only raise the smallest singular value and lower the
+    largest (interlacing), so the tolerance max(N, P) sigma_max *
+    RANK_TOLERANCE_SCALE can only shrink with them.  A full-rank A therefore
+    has full-rank leading blocks, and pinv(R[:P, :P]) is their inverse, which
+    for an upper triangular R is the leading block R^-1[:P, :P]: one inverse
+    per stack instead of an SVD or a solve per block.
 
     This only pays when the features nest, as Legendre columns do across P.
     """
@@ -146,7 +147,11 @@ class NestedGroundTruth:
     r: np.ndarray
     qtb: np.ndarray
     n_rows: int
-    full_rank: bool
+    r_inv: np.ndarray | None
+
+    @property
+    def full_rank(self) -> bool:
+        return self.r_inv is not None
 
 
 def factor_nested_ground_truth(x_full, y_full) -> NestedGroundTruth:
@@ -159,13 +164,14 @@ def factor_nested_ground_truth(x_full, y_full) -> NestedGroundTruth:
     if n < p:
         raise DimensionMismatchError(f"the stack must be tall, got {n}x{p}")
     r = np.linalg.qr(np.column_stack([x_full, y_full]), mode="r")[:p]
-    full_rank = svd(r[:, :p], stack_rows=n).rank == p
-    return NestedGroundTruth(r=r[:, :p], qtb=r[:, p], n_rows=n, full_rank=full_rank)
+    r_inv = np.linalg.inv(r[:, :p]) if svd(r[:, :p], stack_rows=n).rank == p else None
+    return NestedGroundTruth(r=r[:, :p], qtb=r[:, p], n_rows=n, r_inv=r_inv)
 
 
 def make_nested_ground_truth(f: NestedGroundTruth, x_train, y_train) -> GroundTruth:
     """``make_ground_truth`` on the stack's first P columns, P the column
-    count of ``x_train``, solved on the P x P triangle instead of the stack."""
+    count of ``x_train``, from the leading P x P block of R^-1 (off full
+    rank, from an SVD of the P x P triangle) instead of the stack."""
     x_train = as_matrix(x_train, "x_train")
     y_train = as_vector(y_train, "y_train")
     if y_train.shape[0] != x_train.shape[0]:
@@ -176,7 +182,7 @@ def make_nested_ground_truth(f: NestedGroundTruth, x_train, y_train) -> GroundTr
             f"train has {p} features but the stack only {f.r.shape[0]}"
         )
     if f.full_rank:
-        beta_star = np.linalg.solve(f.r[:p, :p], f.qtb[:p])
+        beta_star = f.r_inv[:p, :p] @ f.qtb[:p]
     else:
         s = svd(f.r[:p, :p], stack_rows=f.n_rows)
         beta_star = s.v_cols @ ((s.u_cols.T @ f.qtb[:p]) / s.singular_values)
@@ -276,20 +282,25 @@ def decompose_test_errors(x_test_rows, x_train, y_train, s: SvdResult, gt: Groun
         )
     x_train, y_train = _training_rows(x_train, y_train, s, gt)
 
-    if s.rank == s.n_cols:
-        bias = np.zeros(x_rows.shape[0])
-    else:
-        proj_beta = project_onto_rowspace(gt.beta_star, s)
-        bias = x_rows @ (proj_beta - gt.beta_star)
+    # One product with the test rows, [V | beta_star | beta_hat | P beta_star
+    # - beta_star]^T x_rows^T (the bias row only off full column rank), taken
+    # transposed so xv and each vector come out contiguous: strided slices
+    # cost more than the fusion saves on 256 x 32 test sets.
+    r, deficient = s.rank, s.rank < s.n_cols
+    w = np.empty((r + 2 + deficient, s.n_cols))
+    w[:r] = s.v_cols.T
+    w[r] = gt.beta_star
+    w[r + 1] = _lstsq_fit(x_train, y_train, s)
+    if deficient:
+        w[r + 2] = project_onto_rowspace(gt.beta_star, s) - gt.beta_star
+    products = w @ x_rows.T
+    xv, y_star, fitted = products[:r].T, products[r], products[r + 1]
+    bias = products[r + 2] if deficient else np.zeros(x_rows.shape[0])
 
-    xv = x_rows @ s.v_cols
     coeff = (s.u_cols.T @ gt.residuals) / s.singular_values
     variance = xv @ coeff
     predicted = bias + variance
-
-    beta_hat = _lstsq_fit(x_train, y_train, s)
-    y_star = x_rows @ gt.beta_star
-    observed = x_rows @ beta_hat - y_star
+    observed = fitted - y_star
     gap = np.abs(predicted - observed)
     magnitude = np.maximum.reduce(
         [np.ones_like(gap), np.abs(y_star), np.abs(bias) + np.abs(xv) @ np.abs(coeff)]

@@ -50,6 +50,7 @@ the pool thread that called them.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import os
@@ -589,9 +590,10 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
     Failed cells are collected, not fatal.  Each seed's state
     (``_seed_state``) is built by its first cell and shared by the rest
     (``_run_seeded``).  ``resolved`` holds the source and what applies to
-    it (the noise level for synthetic data, the target column and
-    standardization for a csv), d, the grid, the seeds, the ablation label
-    and its cutoff tau, the estimator label, and the thread counts.
+    it (the noise level for synthetic data; for a csv, the SHA-256 of the
+    file's bytes in place of its path, the target column and
+    standardization), d, the grid, the seeds, the ablation label and its
+    cutoff tau, the estimator label, and the thread counts.
     """
     plan = _prepare(config)
     outcome = _run_seeded(
@@ -600,8 +602,11 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
     if plan.csv_ds is None:
         data = {"source": config.source, "d": plan.d, "noise_sd": config.noise_sd}
     else:
+        with open(config.source[4:], "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         data = {
-            "source": config.source,
+            "source": "csv",
+            "data_sha256": digest,
             "target_column": config.target_column,
             "standardize": config.standardize,
             "d": plan.d,
@@ -631,8 +636,13 @@ def run_polynomial_sweep(
     Legendre columns nest across P, so each seed's state, built by its
     first cell (``_run_seeded``), is its training set drawn once at P_max
     and its (n + 1000) x P_max ground-truth stack factored once
-    (``NestedGroundTruth``); every cell slices the first P columns.  The
-    slices are bit-identical to a P-column draw.
+    (``NestedGroundTruth``).  Every cell reads the first P columns of the
+    training set and of the one 1000 x P_max evaluation block as views, not
+    copies.  The slices are bit-identical to a P-column draw, and on these
+    C-ordered blocks the records match the per-cell path (a fresh draw, its
+    own evaluation matrix, ``make_ground_truth`` on the explicit stack):
+    train and test MSE, sigma_min and regime bit for bit, the bias and
+    variance means to rounding.
     """
     if not p_grid:
         raise ConfigError("empty P grid")
@@ -658,10 +668,7 @@ def run_polynomial_sweep(
 
     def cell(state, p: int, seed: int) -> SweepRecord:
         ds, truth = state
-        # Contiguous copies, so every BLAS call sees the layout of a fresh
-        # P-column draw and the records stay bit-identical to one.
-        x = np.ascontiguousarray(ds.X[:, :p])
-        xe = np.ascontiguousarray(xe_max[:, :p])
+        x, xe = ds.X[:, :p], xe_max[:, :p]
         gt = make_nested_ground_truth(truth, x, ds.Y)
         return SweepRecord(
             n_train=n, d=p, seed=seed, ablation="none", estimator=pinv.label(),

@@ -120,6 +120,30 @@ def test_config_hash_identifies_the_resolved_experiment(tmp_path, monkeypatch):
     assert noise != run("noise3", "--d", "8", "--noise-sd", "0.3")
 
 
+def test_config_hash_follows_the_csv_data_not_its_path(tmp_path, monkeypatch):
+    def run(name, path):
+        out = tmp_path / name
+        assert main(["sweep", "--dataset", f"csv:{path}", "--target-col", "target",
+                     "--seeds", "0:1", "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    monkeypatch.chdir(REPO)
+    plain = run("plain", "data/diabetes.csv")
+    assert run("dotted", "./data/diabetes.csv") == plain
+    assert (tmp_path / "dotted" / "records.csv").read_bytes() == (
+        tmp_path / "plain" / "records.csv"
+    ).read_bytes()
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes((REPO / "data" / "diabetes.csv").read_bytes())
+    assert run("copy", copy) == plain  # the same bytes under another path
+    lines = copy.read_text(encoding="utf-8").splitlines()
+    first = lines[1].split(",")
+    first[0] = repr(float(first[0]) + 0.5)
+    copy.write_text("\n".join([lines[0], ",".join(first), *lines[2:]]) + "\n",
+                    encoding="utf-8")
+    assert run("edited", copy) != plain
+
+
 def held_blas_threads():
     """The BLAS thread count sweeps run with: 1, or None without an
     OpenBLAS to hold."""
@@ -400,8 +424,8 @@ README_COMMANDS = [
 RESOLVED_KEYS = {
     "sweep": ["source", "d", "noise_sd", "grid", "seeds", "ablation", "tau", "estimator",
               "threads", "blas_threads"],
-    "csv sweep": ["source", "target_column", "standardize", "d", "grid", "seeds", "ablation",
-                  "tau", "estimator", "threads", "blas_threads"],
+    "csv sweep": ["source", "data_sha256", "target_column", "standardize", "d", "grid", "seeds",
+                  "ablation", "tau", "estimator", "threads", "blas_threads"],
     "polyfit": ["n", "noise_sd", "p_grid", "seeds", "threads", "blas_threads"],
     "gdcheck": ["n", "d", "steps", "seeds", "etas", "record_every"],
 }

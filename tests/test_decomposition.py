@@ -18,7 +18,13 @@ from descent_lab.errors import (
     EmptySpectrumError,
 )
 from descent_lab.estimators import fit_pinv
-from descent_lab.linalg import SvdResult, svd, truncate_svd
+from descent_lab.linalg import (
+    SvdResult,
+    project_onto_rowspace,
+    pseudoinverse_apply,
+    svd,
+    truncate_svd,
+)
 
 
 def test_identity_training_matrix_by_hand():
@@ -326,14 +332,68 @@ def test_nested_ground_truth_matches_the_explicit_stack_at_every_p():
         for p in range(1, 201):
             ds = make_polynomial_dataset(30, p, 0.5, seed)
             stack = np.vstack([ds.X, xe[:, :p]])
-            want = make_ground_truth(stack, np.concatenate([ds.Y, ye]), ds.X, ds.Y)
+            # make_ground_truth's beta_star, on the stack's one SVD
+            s = svd(stack)
+            want = pseudoinverse_apply(stack, np.concatenate([ds.Y, ye]), s=s)
             got = make_nested_ground_truth(nested, ds.X, ds.Y)
             # a full-rank stack leaves every leading block full rank
-            assert svd(stack).rank == p, f"seed {seed}, P={p}"
-            err = np.linalg.norm(got.beta_star - want.beta_star)
-            worst = max(worst, err / np.linalg.norm(want.beta_star))
+            assert s.rank == p, f"seed {seed}, P={p}"
+            err = np.linalg.norm(got.beta_star - want)
+            worst = max(worst, err / np.linalg.norm(want))
             assert_allclose(got.residuals, ds.Y - ds.X @ got.beta_star, rtol=0, atol=0)
     assert worst <= 1e-9, worst
+
+
+def test_nested_ground_truth_on_a_full_rank_stack_runs_no_solve(monkeypatch):
+    xs = np.linspace(-1.0, 1.0, 1000)
+    ds = make_polynomial_dataset(30, 200, 0.5, seed=0)
+    nested = factor_nested_ground_truth(
+        np.vstack([ds.X, _legendre_matrix(xs, 200)]),
+        np.concatenate([ds.Y, polynomial_target(xs)]),
+    )
+    assert nested.full_rank
+    solves = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for p in (1, 30, 117, 200):
+        assert np.isfinite(make_nested_ground_truth(nested, ds.X[:, :p], ds.Y).beta_star).all()
+    assert solves == []
+
+
+def _rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def test_fused_products_on_a_strided_wide_polynomial_cell():
+    # P = 60 > n = 30: the cell keeps 30 of 60 modes, so the bias term is in
+    # the fused product too, and the test rows are a strided view of a wider
+    # evaluation block, as in the polynomial sweep.
+    n, p = 30, 60
+    xs = np.linspace(-1.0, 1.0, 1000)
+    xe_max, ye = _legendre_matrix(xs, 200), polynomial_target(xs)
+    ds = make_polynomial_dataset(n, 200, 0.5, seed=3)
+    x, rows = ds.X[:, :p], xe_max[:, :p]
+    assert not rows.flags.c_contiguous
+    nested = factor_nested_ground_truth(
+        np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+    )
+    gt = make_nested_ground_truth(nested, x, ds.Y)
+    s = svd(x)
+    assert s.rank == n < p
+    bias, var, pred = decompose_test_errors(rows, x, ds.Y, s, gt)
+    want_bias = rows @ (project_onto_rowspace(gt.beta_star, s) - gt.beta_star)
+    coeff = (s.u_cols.T @ gt.residuals) / s.singular_values
+    assert _rel_err(bias, want_bias) <= 1e-12
+    assert _rel_err(var, (rows @ s.v_cols) @ coeff) <= 1e-12
+    assert_allclose(pred, bias + var, rtol=0, atol=0)
+    copied = decompose_test_errors(np.ascontiguousarray(rows), x, ds.Y, s, gt)
+    for got, want in zip((bias, var, pred), copied):
+        assert_allclose(got, want, rtol=0, atol=0)
 
 
 def test_nested_ground_truth_rejects_bad_shapes():

@@ -283,6 +283,23 @@ def test_polynomial_test_mse_is_the_decomposed_error():
             )
 
 
+def test_polynomial_cells_read_views_of_one_evaluation_block(monkeypatch):
+    seen = []
+    decompose = experiments.decompose_test_errors
+
+    def recording(x_test_rows, *args):
+        seen.append(x_test_rows)
+        return decompose(x_test_rows, *args)
+
+    monkeypatch.setattr(experiments, "decompose_test_errors", recording)
+    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
+    out = run_polynomial_sweep([40, 3, 12, 12], n=10, seeds=[0, 1, 2], noise_sd=0.3)
+    assert not out.failures and len(seen) == 12
+    block = seen[0].base
+    assert block is not None and block.shape == (1000, 40)
+    assert all(x.base is block and np.shares_memory(x, block) for x in seen)
+
+
 def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
     calls = []
     factor = experiments.factor_nested_ground_truth
