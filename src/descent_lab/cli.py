@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -104,10 +105,10 @@ def write_records_csv(path, records) -> None:
 
 def config_hash(resolved: dict) -> str:
     """Stable digest of a run's ``resolved`` block, the values that decide
-    its outputs.  The thread counts are left out, so an experiment hashes
+    its outputs.  The BLAS thread count is left out, so an experiment hashes
     the same however it is run; the timestamp and the output directory
     never enter ``resolved``."""
-    experiment = {k: v for k, v in resolved.items() if k not in ("threads", "blas_threads")}
+    experiment = {k: v for k, v in resolved.items() if k != "blas_threads"}
     canon = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -162,7 +163,8 @@ def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
     ``key``, marked at the threshold ``marker``; the file ``panel(out_dir)``
     draws, if any; and the manifest: the cell counts, each failure under
     ``failure_key`` and the outcome's ``resolved`` block.  Exit 0 when at
-    most 10% of the cells failed, else 1.
+    most 10% of the cells failed, else 1, with one line on stderr: the
+    failed count, the first failure's error and the manifest's path.
     """
     out_dir = _out_dir(args, f"runs/{args.command}")
     write_records_csv(out_dir / "records.csv", outcome.records)
@@ -178,9 +180,14 @@ def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
         {failure_key: f.n_train, "seed": f.seed, "error": f.error} for f in outcome.failures
     ]
     outputs = [name for name in names if name] + ["manifest.json"]
-    write_manifest(out_dir / "manifest.json", args, outputs, outcome.resolved,
+    manifest = out_dir / "manifest.json"
+    write_manifest(manifest, args, outputs, outcome.resolved,
                    cells_total=total, cells_failed=failed, failures=failures)
-    return 0 if 10 * failed <= total else 1
+    if 10 * failed <= total:
+        return 0
+    print(f"descent-lab {args.command}: {failed} of {total} cells failed, the first with "
+          f"{outcome.failures[0].error}; see {manifest}", file=sys.stderr)
+    return 1
 
 
 def cmd_sweep(args) -> int:
@@ -278,8 +285,8 @@ def cmd_gdcheck(args) -> int:
             eta_fixed = float(args.eta)
         except ValueError as exc:
             raise ConfigError(f"eta must be 'auto' or a number, got {args.eta!r}") from exc
-        if not eta_fixed > 0:
-            raise ConfigError(f"eta must be > 0, got {eta_fixed}")
+        if not 0 < eta_fixed < math.inf:
+            raise ConfigError(f"eta must be finite and > 0, got {eta_fixed}")
     else:
         eta_fixed = None
     seeds = _parse_seeds(args.seeds)

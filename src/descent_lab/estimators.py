@@ -25,6 +25,7 @@ interpolation means N = D, overparameterized means N < D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,8 +190,8 @@ def fit_gradient_descent(x, y, eta: float, steps: int, record_every: int = 0) ->
 
     Stops early once the training MSE drops below ``GD_LOSS_FLOOR``.  Raises
     ``DivergenceError`` (carrying the step index) when the loss rises past
-    10x its running minimum, which is what an unstable step size does within
-    a handful of iterations.
+    10x its running minimum or stops being finite, which is what an unstable
+    step size does within a handful of iterations.
 
     ``record_every`` > 0 additionally records ``||w(t) - X^+ Y||`` every that
     many steps (plus the final step) into ``distance_history``.
@@ -214,12 +215,15 @@ def fit_gradient_descent(x, y, eta: float, steps: int, record_every: int = 0) ->
 
     executed = 0
     for t in range(1, steps + 1):
-        w = w - eta * (x.T @ err)
-        err = x @ w - y
-        loss = float(err @ err / n)
+        # an unstable step overflows to inf or nan; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = w - eta * (x.T @ err)
+            err = x @ w - y
+            loss = float(err @ err / n)
         history.append(loss)
         executed = t
-        if loss > max(GD_DIVERGENCE_FACTOR * min_loss, GD_DIVERGENCE_FLOOR):
+        limit = max(GD_DIVERGENCE_FACTOR * min_loss, GD_DIVERGENCE_FLOOR)
+        if not math.isfinite(loss) or loss > limit:
             raise DivergenceError(t)
         if loss < min_loss:
             min_loss = loss

@@ -34,18 +34,15 @@ cutoff near the bulk of the spectrum is what actually flattens the
 peak-to-tail ratio.  Appending a row never lowers sigma_max (Cauchy
 interlacing), so each seed's sigma_max values rise along the grid and the
 median is read off a merge of those sorted sequences: about half of the
-cells' singular-value SVDs, run serially before the pool starts.
+cells' singular-value SVDs, run before the first cell.
 
-Cells are independent pure computations, so they may run in any order and on
-any number of threads; results are merged and sorted by (n_train, seed) at
-the end, making the output deterministic for a given configuration.  Both
-sweeps run their cells through ``_run_seeded``: the first cell of a seed
-builds the seed's state, the rest of its cells share it, and its last cell
-drops it.  Pool threads run the cells (``DESCENT_LAB_THREADS`` of them,
-default min(8, cpus)), a block of ``CELL_BLOCK`` consecutive cells at a
-time, and while a sweep runs, BLAS is held to one thread
-(``linalg.one_blas_thread``), so every cell's LAPACK and BLAS calls run on
-the pool thread that called them.
+Cells are independent pure computations, so they may run in any order;
+results are sorted by (n_train, seed) at the end, making the output
+deterministic for a given configuration.  Both sweeps run their cells
+through ``_run_seeded``, seed-major on the calling thread: a seed's state is
+built before its first cell and dropped when the next seed's is built, so
+one seed's state is held at a time.  While a sweep runs, BLAS is held to one
+thread (``linalg.one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -53,10 +50,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import os
-import threading
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
@@ -96,9 +89,6 @@ SV_CUTOFF_COEFF = 0.9
 # lambda = RIDGE_AUTO_COEFF * sigma_max^2 when ridge is asked to pick its own
 # strength; heavy on purpose, the point is to bury the trailing modes.
 RIDGE_AUTO_COEFF = 0.5
-# Consecutive cells handed to a pool thread at a time: ``_run_seeded`` lists
-# cells seed-major, so a block mostly shares one seed's state.
-CELL_BLOCK = 16
 # Guards the peak ratio against 0/0 when an ablation drives both medians to
 # the float-noise floor.
 PEAK_RATIO_EPS = 1e-12
@@ -242,8 +232,8 @@ class CellFailure:
 class SweepOutcome:
     """All records of a sweep (sorted by n_train, seed) plus any failures, and
     ``resolved``, every value that decides the records (its source, grid,
-    seeds, cutoff and the like), then the pool's ``threads`` and the
-    ``blas_threads`` the cells ran with (None: BLAS left as it was)."""
+    seeds, cutoff and the like), then the ``blas_threads`` the cells ran
+    with (None: BLAS left as it was)."""
 
     records: list[SweepRecord]
     failures: list[CellFailure] = field(default_factory=list)
@@ -283,17 +273,9 @@ def default_real_grid(pool_rows: int) -> list[int]:
 
 
 def worker_count() -> int:
-    """Thread pool size: DESCENT_LAB_THREADS when set, else min(8, cpus)."""
-    env = os.environ.get("DESCENT_LAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"DESCENT_LAB_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ConfigError(f"DESCENT_LAB_THREADS must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
+    """Threads a sweep runs its cells on: always 1, the calling thread.
+    ``perfbench/child.py`` reports it in each benchmark child's environment."""
+    return 1
 
 
 @dataclass
@@ -517,69 +499,48 @@ def run_cell(config: SweepConfig, n_train: int, seed: int) -> SweepRecord:
 
 
 def _run_cells(cells, one) -> SweepOutcome:
-    """Run the cells on the worker pool, in blocks of ``CELL_BLOCK``
-    consecutive cells, BLAS held to one thread, and merge deterministically."""
+    """Run ``one(*cell)`` for every cell in order on the calling thread, BLAS
+    held to one thread, and sort the records and failures by (n_train, seed).
+    A cell that raises is recorded as a failure, not fatal."""
     records: list[SweepRecord] = []
     failures: list[CellFailure] = []
-
-    def guarded(cell):
-        try:
-            return one(*cell), None
-        except Exception as exc:  # a failed cell is recorded, not fatal
-            return None, CellFailure(cell[0], cell[1], f"{type(exc).__name__}: {exc}")
-
-    def guarded_block(start):
-        return [guarded(c) for c in cells[start:start + CELL_BLOCK]]
-
-    workers = worker_count()
     with one_blas_thread() as blas_threads:
-        if workers == 1:
-            results = [guarded(c) for c in cells]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = pool.map(guarded_block, range(0, len(cells), CELL_BLOCK))
-                results = [r for block in blocks for r in block]
-    for rec, fail in results:
-        if rec is not None:
-            records.append(rec)
-        else:
-            failures.append(fail)
+        for cell in cells:
+            try:
+                records.append(one(*cell))
+            except Exception as exc:
+                failures.append(CellFailure(cell[0], cell[1], f"{type(exc).__name__}: {exc}"))
     records.sort(key=lambda r: (r.n_train, r.seed, r.d))
     failures.sort(key=lambda f: (f.n_train, f.seed))
-    resolved = {"threads": workers, "blas_threads": blas_threads}
-    return SweepOutcome(records=records, failures=failures, resolved=resolved)
+    return SweepOutcome(records=records, failures=failures,
+                        resolved={"blas_threads": blas_threads})
 
 
 def _run_seeded(keys, seeds, build, cell) -> SweepOutcome:
     """Run ``cell(state, key, seed)`` for every key of every seed, where
     ``state = build(seed)`` is shared by the cells of one seed.
 
-    Cells go to ``_run_cells`` seed-major, so a seed's cells run together.
-    The first cell of a seed builds its state, under one lock, so cells of
-    the same seed on other threads wait for that one build; the seed's last
-    cell drops it, so only the seeds in flight are held.  A build that
-    raises fails the cell that asked for it, and the next cell of the seed
-    tries again.
+    Cells go to ``_run_cells`` seed-major, so a seed's cells run one after
+    another.  The first cell of a seed builds its state and drops the
+    previous seed's, so one seed's state is held at a time (a seed listed
+    twice is built twice).  A build that raises is not retried: each cell of
+    that seed fails with the build's error.
     """
-    cells = [(key, seed) for seed in seeds for key in keys]
-    left = Counter(seed for _, seed in cells)
-    live: dict[int, object] = {}
-    lock = threading.Lock()
+    held: dict = {}  # the current seed: (state, None) or (None, build error)
 
     def one(key, seed):
-        try:
-            with lock:
-                if seed not in live:
-                    live[seed] = build(seed)
-                state = live[seed]
-            return cell(state, key, seed)
-        finally:
-            with lock:
-                left[seed] -= 1
-                if not left[seed]:
-                    live.pop(seed, None)
+        if seed not in held:
+            held.clear()
+            try:
+                held[seed] = build(seed), None
+            except Exception as exc:
+                held[seed] = None, exc
+        state, error = held[seed]
+        if error is not None:
+            raise error
+        return cell(state, key, seed)
 
-    return _run_cells(cells, one)
+    return _run_cells([(key, seed) for seed in seeds for key in keys], one)
 
 
 def run_sweep(config: SweepConfig) -> SweepOutcome:
@@ -593,7 +554,7 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
     it (the noise level for synthetic data; for a csv, the SHA-256 of the
     file's bytes in place of its path, the target column and
     standardization), d, the grid, the seeds, the ablation label and its
-    cutoff tau, the estimator label, and the thread counts.
+    cutoff tau, the estimator label, and the BLAS thread count.
     """
     plan = _prepare(config)
     outcome = _run_seeded(
@@ -631,7 +592,7 @@ def run_polynomial_sweep(
     Test MSE is measured against a dense noiseless grid of 1,000 points on
     [-1, 1].  Records reuse the sweep schema with d = P.  Duplicate grid
     entries produce duplicate records.  ``resolved`` holds n, the noise
-    level, the P grid, the seeds and the thread counts.
+    level, the P grid, the seeds and the BLAS thread count.
 
     Legendre columns nest across P, so each seed's state, built by its
     first cell (``_run_seeded``), is its training set drawn once at P_max

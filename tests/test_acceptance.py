@@ -243,18 +243,19 @@ def test_estimator_agreement():
     )
 
 
-def test_determinism_across_thread_counts(tmp_path, monkeypatch):
+def test_determinism_across_reruns_and_seed_order(tmp_path, threshold_sweep):
     args = ["sweep", "--d", "32", "--noise-sd", "0.25", "--grid", "2:96", "--seeds", "0:29"]
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "1")
-    assert main(args + ["--out", str(tmp_path / "t1")]) == 0
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "8")
-    assert main(args + ["--out", str(tmp_path / "t8")]) == 0
-    one = (tmp_path / "t1" / "records.csv").read_bytes()
-    eight = (tmp_path / "t8" / "records.csv").read_bytes()
-    with open(tmp_path / "t1" / "records.csv", newline="", encoding="utf-8") as fh:
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "records.csv").read_bytes()
+    rerun = (tmp_path / "b" / "records.csv").read_bytes()
+    with open(tmp_path / "a" / "records.csv", newline="", encoding="utf-8") as fh:
         n_rows = sum(1 for _ in csv.reader(fh)) - 1
+    backward = run_sweep(SweepConfig(**{**HEADLINE, "seeds": HEADLINE["seeds"][::-1]}))
+    same_order = not backward.failures and backward.records == threshold_sweep.records
     _report(
-        "determinism across thread counts",
-        one == eight,
-        f"records.csv byte-identical under 1 and 8 threads ({n_rows} rows)",
+        "determinism across reruns and seed order",
+        first == rerun and same_order,
+        f"records.csv byte-identical over two runs ({n_rows} rows); run_sweep records "
+        f"identical with the seeds in reverse ({len(backward.records)} records)",
     )

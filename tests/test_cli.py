@@ -88,21 +88,20 @@ def test_config_hash_is_stable_and_sensitive():
     assert set(config_hash(a)) <= set("0123456789abcdef")
     assert config_hash(a) != config_hash({**a, "seeds": "0:5"})
     assert config_hash(a) != config_hash({**a, "noise_sd": 0.3})
-    # how many threads a run went on is not the experiment
-    assert config_hash(a) == config_hash({**a, "threads": 3, "blas_threads": 1})
+    # how many BLAS threads a run held is not the experiment
+    assert config_hash(a) == config_hash({**a, "blas_threads": 1})
+    assert config_hash(a) == config_hash({**a, "blas_threads": None})
 
 
-def test_config_hash_identifies_the_resolved_experiment(tmp_path, monkeypatch):
-    def run(name, *argv, threads="2"):
-        monkeypatch.setenv("DESCENT_LAB_THREADS", threads)
+def test_config_hash_identifies_the_resolved_experiment(tmp_path):
+    def run(name, *argv):
         out = tmp_path / name
         assert main(["sweep", *argv, "--seeds", "0:1", "--out", str(out)]) == 0
         return json.loads((out / "manifest.json").read_text())["config_hash"]
 
-    # the default grid of D = 8 is 2:24, and the thread count is no flag
+    # the default grid of D = 8 is 2:24
     default = run("default", "--d", "8")
     assert run("typed", "--d", "8", "--grid", "2:24") == default
-    assert run("serial", "--d", "8", threads="1") == default
     typed = (tmp_path / "typed" / "records.csv").read_bytes()
     assert typed == (tmp_path / "default" / "records.csv").read_bytes()
     # a csv dataset sets D itself, so --d does not reach the experiment
@@ -294,6 +293,21 @@ def test_bad_noise_sd_exits_2_before_any_record(tmp_path, capsys, command, noise
     assert "noise-sd must be finite and >= 0" in capsys.readouterr().err
 
 
+def test_a_failed_sweep_says_so_on_stderr(tmp_path, capsys):
+    # every cell overflows X^+ y; the exit code and one stderr line say so,
+    # and the manifest lists each failure
+    out = tmp_path / "out"
+    assert main(["sweep", "--d", "4", "--grid", "2:12", "--seeds", "0",
+                 "--noise-sd", "1e200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"descent-lab sweep: 11 of 11 cells failed, the first with "
+        f"{json.loads((out / 'manifest.json').read_text())['failures'][0]['error']}; "
+        f"see {out / 'manifest.json'}"
+    ]
+    assert "DomainError: X^+ y overflows" in err[0]
+
+
 def test_missing_dataset_exits_1(tmp_path, capsys):
     code = main([
         "sweep", "--dataset", f"csv:{tmp_path}/absent.csv", "--target-col", "y",
@@ -328,16 +342,6 @@ def test_polyfit_end_to_end(tmp_path):
         "--seeds", "0:1", "--out", str(out2),
     ])
     assert (out / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
-
-
-def test_polyfit_records_ignore_thread_count(tmp_path, monkeypatch):
-    args = ["polyfit", "--n", "30", "--p-grid", "1:60", "--noise-sd", "0.5", "--seeds", "0:3"]
-    for threads in ("1", "2"):
-        monkeypatch.setenv("DESCENT_LAB_THREADS", threads)
-        assert main(args + ["--out", str(tmp_path / threads)]) == 0
-    one = (tmp_path / "1" / "records.csv").read_bytes()
-    assert one == (tmp_path / "2" / "records.csv").read_bytes()
-    assert one.count(b"\n") == 1 + 60 * 4
 
 
 def test_polyfit_records_ignore_the_blas_thread_count(tmp_path):
@@ -423,10 +427,10 @@ README_COMMANDS = [
 # each source of sweep).
 RESOLVED_KEYS = {
     "sweep": ["source", "d", "noise_sd", "grid", "seeds", "ablation", "tau", "estimator",
-              "threads", "blas_threads"],
+              "blas_threads"],
     "csv sweep": ["source", "data_sha256", "target_column", "standardize", "d", "grid", "seeds",
-                  "ablation", "tau", "estimator", "threads", "blas_threads"],
-    "polyfit": ["n", "noise_sd", "p_grid", "seeds", "threads", "blas_threads"],
+                  "ablation", "tau", "estimator", "blas_threads"],
+    "polyfit": ["n", "noise_sd", "p_grid", "seeds", "blas_threads"],
     "gdcheck": ["n", "d", "steps", "seeds", "etas", "record_every"],
 }
 
@@ -510,6 +514,16 @@ def test_gdcheck_divergence_exits_1(tmp_path, capsys):
     assert "divergence at step" in err
 
 
+def test_gdcheck_non_finite_loss_is_a_divergence(tmp_path, capsys):
+    # a step of 1e308 overflows to an inf or nan loss at once
+    out = tmp_path / "gd"
+    code = main(["gdcheck", "--n", "5", "--d", "10", "--steps", "100",
+                 "--eta", "1e308", "--seeds", "0", "--out", str(out)])
+    assert code == 1
+    assert "divergence at step 1 (seed 0" in capsys.readouterr().err
+    assert not (out / "distances.csv").exists()
+
+
 def test_gdcheck_zero_steps_reports_initial_distance(tmp_path):
     out = tmp_path / "gd0"
     code = main([
@@ -527,12 +541,15 @@ def test_gdcheck_zero_steps_reports_initial_distance(tmp_path):
     assert float(rows[1][2]) == pytest.approx(expected, rel=1e-9)
 
 
-def test_gdcheck_flag_validation(tmp_path):
+def test_gdcheck_flag_validation(tmp_path, capsys):
     base = ["gdcheck", "--out", str(tmp_path / "x")]
     assert main(base + ["--n", "0"]) == 2
     assert main(base + ["--steps", "-5"]) == 2
     assert main(base + ["--eta", "fast"]) == 2
     assert main(base + ["--eta", "-0.1"]) == 2
+    assert main(base + ["--eta", "inf"]) == 2
+    assert "eta must be finite and > 0, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # every rejection comes before any output
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -222,6 +224,17 @@ def test_gd_divergence_carries_step_index():
         fit_gradient_descent([[1.0]], [1.0], eta=3.0, steps=100)
     assert info.value.step >= 1
     assert "step" in str(info.value)
+
+
+def test_gd_non_finite_loss_is_a_divergence():
+    # inf times the zero column's gradient is nan, so the loss is nan, which
+    # no "rose past its minimum" comparison catches
+    with pytest.raises(DivergenceError) as info:
+        fit_gradient_descent([[1.0, 0.0]], [1.0], eta=math.inf, steps=100)
+    assert info.value.step == 1
+    with pytest.raises(DivergenceError) as info:
+        fit_gradient_descent([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], eta=1e308, steps=100)
+    assert info.value.step == 1
 
 
 def test_gd_iterates_stay_in_rowspace():

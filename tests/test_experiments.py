@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import weakref
 from pathlib import Path
@@ -41,7 +40,6 @@ from descent_lab.experiments import (
     run_cell,
     run_polynomial_sweep,
     run_sweep,
-    worker_count,
 )
 from descent_lab.linalg import svd
 
@@ -292,7 +290,6 @@ def test_polynomial_cells_read_views_of_one_evaluation_block(monkeypatch):
         return decompose(x_test_rows, *args)
 
     monkeypatch.setattr(experiments, "decompose_test_errors", recording)
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
     out = run_polynomial_sweep([40, 3, 12, 12], n=10, seeds=[0, 1, 2], noise_sd=0.3)
     assert not out.failures and len(seen) == 12
     block = seen[0].base
@@ -309,10 +306,9 @@ def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
         return factor(x_full, y_full)
 
     monkeypatch.setattr(experiments, "factor_nested_ground_truth", counting)
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "3")
     out = run_polynomial_sweep([12, 3, 7, 7, 1], n=6, seeds=[0, 1, 2, 3], noise_sd=0.3)
     assert not out.failures and len(out.records) == 20
-    # one fill per seed, also when several threads reach a seed at once
+    # one fill per seed
     assert calls == [(1006, 12)] * 4
 
 
@@ -347,14 +343,12 @@ def test_sweep_fits_ground_truth_per_seed_and_factors_each_cell_once(monkeypatch
     svds = _count_calls(monkeypatch, linalg, "svd")
     truths = _count_calls(monkeypatch, decomposition, "make_ground_truth")
     ablations = _count_calls(monkeypatch, experiments, "apply_ablation")
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "3")
     # the cutoff pre-pass reads sigma_max with np.linalg.svd, so none of the
     # calls counted here is its own
     out = run_sweep(cfg)
     assert not out.failures
-    # one beta_star per seed, on its 24 pool rows and 256 test rows, also
-    # when several threads reach a seed at once; one SVD per cell, n = D
-    # included, plus the one inside each seed's ground truth
+    # one beta_star per seed, on its 24 pool rows and 256 test rows; one SVD
+    # per cell, n = D included, plus the one inside each seed's ground truth
     assert truths == [(24 + 256, 8)] * 3
     cells = [(n, 8) for n in SMALL["grid"]] * 3
     assert sorted(svds) == sorted(cells + truths)
@@ -393,21 +387,13 @@ def test_headline_test_mse_is_the_decomposed_error(variant):
         _assert_test_mse_is_the_decomposed_error(r, x_eval, test.Y, x, y, s, gt)
 
 
-def test_seed_state_holds_under_a_thread_storm(monkeypatch):
-    # Eight threads switching every microsecond over four seeds, one of them
-    # listed twice: each distinct seed's state is built once and outlives
-    # all of its cells, so a lost update on the cell count would show as a
-    # rebuild or a failed cell.
+def test_a_seed_listed_twice_gives_its_records_twice(monkeypatch):
+    # Seeds run one after another, one seed's state held at a time, so a
+    # seed listed twice is built twice and gives the same records twice.
     truths = _count_calls(monkeypatch, decomposition, "make_ground_truth")
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = run_sweep(small_config(seeds=[0, 1, 0, 2]))
-    finally:
-        sys.setswitchinterval(interval)
+    out = run_sweep(small_config(seeds=[0, 1, 0, 2]))
     assert not out.failures and len(out.records) == 4 * len(SMALL["grid"])
-    assert len(truths) == 3
+    assert len(truths) == 4
     twice = [r for r in out.records if r.seed == 0]
     assert twice[0::2] == twice[1::2]
 
@@ -424,9 +410,9 @@ SEEDED_SWEEPS = {
 
 @pytest.mark.parametrize("sweep", SEEDED_SWEEPS)
 def test_one_thread_holds_one_seed_at_a_time(monkeypatch, sweep):
-    # A weak reference to the data each seed's build returns: on one thread,
-    # the seed a cell runs for is the only one alive, so a sweep that kept
-    # every seed's state would show here.
+    # A weak reference to the data each seed's build returns: seeds run one
+    # after another, so the seed a cell runs for is the only one alive, and a
+    # sweep that kept every seed's state would show here.
     run, name, index = SEEDED_SWEEPS[sweep]
     build, refs, alive = getattr(experiments, name), [], []
 
@@ -443,7 +429,6 @@ def test_one_thread_holds_one_seed_at_a_time(monkeypatch, sweep):
 
     monkeypatch.setattr(experiments, name, tracked)
     monkeypatch.setattr(experiments, "_cell", counting)
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "1")
     out = run([0, 1, 2, 3])
     assert not out.failures and len(refs) == 4
     assert alive == [1] * len(out.records)
@@ -452,12 +437,12 @@ def test_one_thread_holds_one_seed_at_a_time(monkeypatch, sweep):
 @pytest.mark.parametrize("sweep", SEEDED_SWEEPS)
 def test_a_failing_build_fails_only_its_own_seed(monkeypatch, sweep):
     run, name, _ = SEEDED_SWEEPS[sweep]
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
     clean = run([0, 2])
-    build = getattr(experiments, name)
+    build, attempts = getattr(experiments, name), []
 
     def failing(*args):
-        if args[-1] == 1:  # the seed comes last in both builds
+        attempts.append(args[-1])  # the seed comes last in both builds
+        if args[-1] == 1:
             raise RuntimeError("no data for seed 1")
         return build(*args)
 
@@ -468,6 +453,8 @@ def test_a_failing_build_fails_only_its_own_seed(monkeypatch, sweep):
     assert {(f.seed, f.error) for f in out.failures} == {
         (1, "RuntimeError: no data for seed 1")
     }
+    # the failed build is not retried for every cell of its seed
+    assert attempts == [0, 1, 2]
 
 
 def _spy_cells(monkeypatch, before_cell):
@@ -485,7 +472,6 @@ def _spy_cells(monkeypatch, before_cell):
 def test_cells_run_on_one_blas_thread(monkeypatch, blas_count):
     counts = []
     _spy_cells(monkeypatch, lambda plan, n_train, seed: counts.append(blas_count()))
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
     out = run_sweep(small_config(seeds=[0, 1]))
     assert not out.failures and out.resolved["blas_threads"] == 1
     assert counts == [1] * len(out.records)
@@ -523,7 +509,6 @@ def test_concurrent_sweeps_share_one_blas_limit(monkeypatch, blas_count):
         counts.append(blas_count())
 
     _spy_cells(monkeypatch, meet)
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "2")
     outs = {}
 
     def sweep(seed):
@@ -658,27 +643,6 @@ def test_sweep_is_deterministic():
     a = run_sweep(small_config(seeds=[0, 1]))
     b = run_sweep(small_config(seeds=[0, 1]))
     assert a.records == b.records
-
-
-def test_sweep_ignores_thread_count(monkeypatch):
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "1")
-    a = run_sweep(small_config(seeds=[0, 1]))
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "4")
-    b = run_sweep(small_config(seeds=[0, 1]))
-    assert a.records == b.records
-
-
-def test_worker_count_env_handling(monkeypatch):
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "many")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("DESCENT_LAB_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.delenv("DESCENT_LAB_THREADS")
-    assert worker_count() >= 1
 
 
 def test_median_series_groups_and_skips_missing():
