@@ -84,8 +84,6 @@ from .experiments import (
     parse_ablation,
     parse_estimator,
     peak_ratio,
-    resolve_tau,
-    run_cell,
     run_polynomial_sweep,
     run_sweep,
 )
@@ -153,8 +151,6 @@ __all__ = [
     "pseudoinverse_apply",
     "regime_of",
     "render_line_svg",
-    "resolve_tau",
-    "run_cell",
     "run_polynomial_sweep",
     "run_sweep",
     "smallest_nonzero_singular_value",

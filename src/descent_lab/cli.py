@@ -134,8 +134,19 @@ def write_manifest(path, args, output_paths, resolved: dict, **extra) -> None:
         fh.write("\n")
 
 
-def _out_dir(args, default: str) -> Path:
-    out = Path(args.out if args.out else default)
+def _out_path(args) -> Path:
+    """``--out``, by default runs/COMMAND.  A path that is, or sits under, an
+    existing non-directory is refused, so the command fails before any cell
+    runs rather than when it writes."""
+    out = Path(args.out if args.out else f"runs/{args.command}")
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"cannot write to --out {out}: {part} is not a directory")
+    return out
+
+
+def _out_dir(args) -> Path:
+    out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -166,7 +177,7 @@ def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
     most 10% of the cells failed, else 1, with one line on stderr: the
     failed count, the first failure's error and the manifest's path.
     """
-    out_dir = _out_dir(args, f"runs/{args.command}")
+    out_dir = _out_dir(args)
     write_records_csv(out_dir / "records.csv", outcome.records)
     names = ["records.csv"]
     for name, attr, label, kw in medians:
@@ -250,13 +261,14 @@ def _write_curve_panel(out_dir: Path, n: int, p_grid: list[int], seed: int, nois
     series = [(xs, target)]
     labels = ["target"]
     styles = ["line"]
-    for p in _panel_degrees(n, p_grid):
-        ds = make_polynomial_dataset(n, p, noise_sd, seed)
-        fit = fit_pinv(ds.X, ds.Y)
+    degrees = _panel_degrees(n, p_grid)
+    # Legendre columns nest, so the first p columns are the P = p draw.
+    ds = make_polynomial_dataset(n, max(degrees), noise_sd, seed)
+    for p in degrees:
+        fit = fit_pinv(ds.X[:, :p], ds.Y)
         series.append((xs, _legendre_matrix(xs, p) @ fit.beta))
         labels.append(f"fit, P = {p}")
         styles.append("line")
-    ds = make_polynomial_dataset(n, 1, noise_sd, seed)
     series.append((ds.X[:, 0], ds.Y))
     labels.append("training points")
     styles.append("points")
@@ -290,12 +302,20 @@ def cmd_gdcheck(args) -> int:
     else:
         eta_fixed = None
     seeds = _parse_seeds(args.seeds)
-    out_dir = _out_dir(args, "runs/gdcheck")
+    out_dir = _out_dir(args)
 
     record_every = max(1, args.steps // 1000)
     rows = []
     finals = []
     etas = {}
+    resolved = {
+        "n": args.n,
+        "d": args.d,
+        "steps": args.steps,
+        "seeds": seeds,
+        "etas": etas,
+        "record_every": record_every,
+    }
     for seed in seeds:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((args.n, args.d))
@@ -305,6 +325,9 @@ def cmd_gdcheck(args) -> int:
         try:
             trace = fit_gradient_descent(x, y, eta, args.steps, record_every=record_every)
         except DivergenceError as exc:
+            write_manifest(out_dir / "manifest.json", args, ["manifest.json"], resolved,
+                           all_converged=False,
+                           divergence={"seed": seed, "step": exc.step, "eta": eta})
             print(
                 f"descent-lab gdcheck: divergence at step {exc.step} "
                 f"(seed {seed}, eta {eta:.6g})",
@@ -342,14 +365,6 @@ def cmd_gdcheck(args) -> int:
     if name:
         outputs.append(name)
 
-    resolved = {
-        "n": args.n,
-        "d": args.d,
-        "steps": args.steps,
-        "seeds": seeds,
-        "etas": etas,
-        "record_every": record_every,
-    }
     outputs.append("manifest.json")
     write_manifest(out_dir / "manifest.json", args, outputs, resolved,
                    all_converged=bool(all(finals)))
@@ -447,6 +462,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _out_path(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"descent-lab: {exc}", file=sys.stderr)

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionMismatchError, DimensionMismatchError, EmptySpectrumError
+from .errors import (
+    DecompositionMismatchError,
+    DimensionMismatchError,
+    EmptySpectrumError,
+    RankDeficientError,
+)
 from .linalg import (
     SvdResult,
     as_matrix,
@@ -121,41 +126,35 @@ def make_ground_truth(x_full, y_full, x_train, y_train) -> GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class NestedGroundTruth:
-    """One Householder QR of a full-data stack, serving the ground truth of
-    every leading column block of it.
+    """One Householder QR of a full-rank, full-data stack, serving the ground
+    truth of every leading column block of it.
 
     For a stack A = [X; E] of shape (N, P_max) with targets b, the QR of the
-    augmented matrix [A b] gives A = Q R and Q^T b at once.  Householder QR
-    treats columns in order, so every leading block factors as
-    A[:, :P] = Q[:, :P] R[:P, :P]: the block has the singular values of the
-    P x P triangle, and its minimum-norm least squares solution is
-    pinv(R[:P, :P]) (Q^T b)[:P].  ``make_nested_ground_truth`` computes that
-    with the rank tolerance of the block's own shape, max(N, P), so it keeps
-    the modes ``make_ground_truth`` keeps on the explicit block.
+    augmented matrix [A b] gives A = Q R and Q^T b (``qtb``) at once.
+    Householder QR treats columns in order, so every leading block factors
+    as A[:, :P] = Q[:, :P] R[:P, :P], and its least squares solution is
+    R[:P, :P]^-1 (Q^T b)[:P].  For an upper triangular R that inverse is the
+    leading block of ``r_inv`` = R^-1: one inverse per stack instead of an
+    SVD or a solve per block.
 
-    ``r_inv`` is R^-1 when A itself keeps all P_max modes, else None.
-    Dropping columns can only raise the smallest singular value and lower the
-    largest (interlacing), so the tolerance max(N, P) sigma_max *
-    RANK_TOLERANCE_SCALE can only shrink with them.  A full-rank A therefore
-    has full-rank leading blocks, and pinv(R[:P, :P]) is their inverse, which
-    for an upper triangular R is the leading block R^-1[:P, :P]: one inverse
-    per stack instead of an SVD or a solve per block.
+    The stack must keep all P_max modes under the rank tolerance of its own
+    shape, max(N, P_max) sigma_max * RANK_TOLERANCE_SCALE.  Dropping columns
+    can only raise the smallest singular value and lower the largest
+    (interlacing), so every leading block then keeps all its modes too, and
+    the solution is the minimum-norm one ``make_ground_truth`` computes on
+    the explicit block.  The polynomial sweep's stacks, n training rows over
+    the 1000-point evaluation grid at P <= 200, are far inside that margin.
 
     This only pays when the features nest, as Legendre columns do across P.
     """
 
-    r: np.ndarray
     qtb: np.ndarray
-    n_rows: int
-    r_inv: np.ndarray | None
-
-    @property
-    def full_rank(self) -> bool:
-        return self.r_inv is not None
+    r_inv: np.ndarray
 
 
 def factor_nested_ground_truth(x_full, y_full) -> NestedGroundTruth:
-    """Factor the full-data stack once; see ``NestedGroundTruth``."""
+    """Factor the full-data stack once; see ``NestedGroundTruth``.  Raises
+    ``RankDeficientError`` when the stack loses a mode."""
     x_full = as_matrix(x_full, "x_full")
     y_full = as_vector(y_full, "y_full")
     if y_full.shape[0] != x_full.shape[0]:
@@ -164,28 +163,26 @@ def factor_nested_ground_truth(x_full, y_full) -> NestedGroundTruth:
     if n < p:
         raise DimensionMismatchError(f"the stack must be tall, got {n}x{p}")
     r = np.linalg.qr(np.column_stack([x_full, y_full]), mode="r")[:p]
-    r_inv = np.linalg.inv(r[:, :p]) if svd(r[:, :p], stack_rows=n).rank == p else None
-    return NestedGroundTruth(r=r[:, :p], qtb=r[:, p], n_rows=n, r_inv=r_inv)
+    rank = svd(r[:, :p], stack_rows=n).rank
+    if rank < p:
+        raise RankDeficientError(f"the {n}x{p} stack has rank {rank}, not {p}")
+    return NestedGroundTruth(qtb=r[:, p], r_inv=np.linalg.inv(r[:, :p]))
 
 
 def make_nested_ground_truth(f: NestedGroundTruth, x_train, y_train) -> GroundTruth:
     """``make_ground_truth`` on the stack's first P columns, P the column
-    count of ``x_train``, from the leading P x P block of R^-1 (off full
-    rank, from an SVD of the P x P triangle) instead of the stack."""
+    count of ``x_train``, from the leading P x P block of R^-1 instead of
+    the stack."""
     x_train = as_matrix(x_train, "x_train")
     y_train = as_vector(y_train, "y_train")
     if y_train.shape[0] != x_train.shape[0]:
         raise DimensionMismatchError("train X and Y row counts differ")
     p = x_train.shape[1]
-    if p > f.r.shape[0]:
+    if p > f.r_inv.shape[0]:
         raise DimensionMismatchError(
-            f"train has {p} features but the stack only {f.r.shape[0]}"
+            f"train has {p} features but the stack only {f.r_inv.shape[0]}"
         )
-    if f.full_rank:
-        beta_star = f.r_inv[:p, :p] @ f.qtb[:p]
-    else:
-        s = svd(f.r[:p, :p], stack_rows=f.n_rows)
-        beta_star = s.v_cols @ ((s.u_cols.T @ f.qtb[:p]) / s.singular_values)
+    beta_star = f.r_inv[:p, :p] @ f.qtb[:p]
     return GroundTruth(beta_star=beta_star, residuals=y_train - x_train @ beta_star)
 
 

@@ -385,19 +385,6 @@ def _median_sigma_max(plan: _Plan) -> float:
     return _median(lowest[-1:] if fitting % 2 else lowest[-2:])
 
 
-def resolve_tau(config: SweepConfig) -> float:
-    """The default ablation cutoff for this sweep: 0.9x the median of
-    sigma_max of the training matrix over every (n_train, seed) cell that
-    fits the pool.
-
-    sigma_max never falls as rows are appended (Cauchy interlacing), so the
-    median costs about half of those cells' singular-value SVDs: M // 2 + 1
-    of the M cells, plus at most one more per other seed.
-    """
-    plan = _prepare(replace(config, ablation=AblationKind()))
-    return SV_CUTOFF_COEFF * _median_sigma_max(plan)
-
-
 def apply_ablation(
     kind: AblationKind, s: SvdResult, x_eval: np.ndarray
 ) -> tuple[SvdResult, np.ndarray]:
@@ -407,11 +394,12 @@ def apply_ablation(
     sv-cutoff truncates ``s`` at tau; test-projection projects ``x_eval``
     onto the training modes that survive tau; none and linearized-targets
     pass both through (the targets are linearized once per seed, in
-    ``_seed_state``).  The cutoff ablations need a concrete tau; sweeps
-    resolve the default before dispatching cells.
+    ``_seed_state``).  The cutoff ablations need a concrete tau: a sweep
+    resolves the default in ``_prepare``, before any cell runs, and reports
+    it as ``resolved["tau"]``.
     """
     if kind.needs_tau:
-        raise ConfigError(f"{kind.kind} needs a resolved cutoff; see resolve_tau")
+        raise ConfigError(f"{kind.kind} needs a resolved cutoff")
     if kind.kind == "sv-cutoff":
         return truncate_svd(s, kind.tau), x_eval
     if kind.kind == "test-projection":
@@ -488,14 +476,6 @@ def _linear_cell(plan: _Plan, state, n_train: int, seed: int) -> SweepRecord:
         estimator=policy.label(),
         **_cell(x, y, x_eval, test.Y, s, gt, policy),
     )
-
-
-def run_cell(config: SweepConfig, n_train: int, seed: int) -> SweepRecord:
-    """Run one (n_train, seed) cell and record everything about it; the
-    record equals the sweep's for the same cell."""
-    plan = _prepare(config)
-    with one_blas_thread():
-        return _linear_cell(plan, _seed_state(plan, seed), n_train, seed)
 
 
 def _run_cells(cells, one) -> SweepOutcome:

@@ -87,14 +87,6 @@ class SvdResult:
     def n_cols(self) -> int:
         return self.v_cols.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the (rank-R approximation of the) original matrix.
-
-        Returns sum_r sigma_r u_r v_r^T as an (N, D) array; the zero matrix
-        when rank is 0.
-        """
-        return (self.u_cols * self.singular_values) @ self.v_cols.T
-
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Sign convention: first nonzero component of each right singular vector

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from descent_lab import linalg
+from descent_lab import cli, linalg
 from descent_lab.cli import (
     CSV_HEADER,
     config_hash,
@@ -24,7 +24,7 @@ from descent_lab.decomposition import (
 )
 from descent_lab.errors import ConfigError
 from descent_lab.estimators import fit_pinv
-from descent_lab.experiments import SweepConfig, SweepRecord, resolve_tau
+from descent_lab.experiments import AblationKind, SweepConfig, SweepRecord, _prepare
 from descent_lab.linalg import pseudoinverse_apply, svd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -226,8 +226,9 @@ def test_manifest_records_tau_at_full_precision(tmp_path, ablation):
     elif ablation == "sv-cutoff:0.5":
         assert tau == 0.5
     else:
-        config = SweepConfig(d=8, noise_sd=0.25, grid=list(range(2, 25)), seeds=[0, 1, 2])
-        assert tau == resolve_tau(config)
+        config = SweepConfig(d=8, noise_sd=0.25, grid=list(range(2, 25)), seeds=[0, 1, 2],
+                             ablation=AblationKind("sv-cutoff"))
+        assert tau == _prepare(config).ablation.tau
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):
@@ -254,6 +255,28 @@ def test_negative_seeds_exit_2_before_any_output(tmp_path, capsys, command):
     assert main([*command, "--out", str(out)]) == 2
     assert not out.exists()
     assert "seeds must be >= 0" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a cell ran")
+
+
+@pytest.mark.parametrize("sub", ["", "a/b"], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--d", "4", "--grid", "2:12", "--seeds", "0"],
+    ["polyfit", "--n", "8", "--p-grid", "2:16:2", "--seeds", "0"],
+    ["gdcheck", "--n", "4", "--d", "8", "--steps", "10", "--seeds", "0"],
+], ids=["sweep", "polyfit", "gdcheck"])
+def test_an_out_at_a_file_exits_2_before_any_cell(tmp_path, capsys, monkeypatch, command, sub):
+    for name in ("run_sweep", "run_polynomial_sweep", "fit_gradient_descent"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    file = tmp_path / "file"
+    file.write_text("kept\n", encoding="utf-8")
+    assert main([*command, "--out", str(file / sub)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("descent-lab: cannot write to --out")
+    assert f"{file} is not a directory" in err[0]
+    assert file.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_narrow_grid_needs_its_flag(tmp_path):
@@ -522,6 +545,20 @@ def test_gdcheck_non_finite_loss_is_a_divergence(tmp_path, capsys):
     assert code == 1
     assert "divergence at step 1 (seed 0" in capsys.readouterr().err
     assert not (out / "distances.csv").exists()
+
+
+def test_gdcheck_divergence_leaves_a_manifest(tmp_path, capsys):
+    out = tmp_path / "gd"
+    code = main(["gdcheck", "--n", "5", "--d", "10", "--steps", "100",
+                 "--eta", "1e308", "--seeds", "0", "--out", str(out)])
+    assert code == 1
+    assert "divergence at step 1 (seed 0, eta 1e+308)" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["all_converged"] is False
+    assert manifest["divergence"] == {"seed": 0, "step": 1, "eta": 1e308}
+    assert manifest["output_paths"] == ["manifest.json"]
+    assert manifest["resolved"]["etas"] == {"0": 1e308}
 
 
 def test_gdcheck_zero_steps_reports_initial_distance(tmp_path):

@@ -16,6 +16,7 @@ from descent_lab.errors import (
     DecompositionMismatchError,
     DimensionMismatchError,
     EmptySpectrumError,
+    RankDeficientError,
 )
 from descent_lab.estimators import fit_pinv
 from descent_lab.linalg import (
@@ -328,7 +329,6 @@ def test_nested_ground_truth_matches_the_explicit_stack_at_every_p():
         nested = factor_nested_ground_truth(
             np.vstack([full.X, xe]), np.concatenate([full.Y, ye])
         )
-        assert nested.n_rows == 1030 and nested.full_rank
         for p in range(1, 201):
             ds = make_polynomial_dataset(30, p, 0.5, seed)
             stack = np.vstack([ds.X, xe[:, :p]])
@@ -351,7 +351,6 @@ def test_nested_ground_truth_on_a_full_rank_stack_runs_no_solve(monkeypatch):
         np.vstack([ds.X, _legendre_matrix(xs, 200)]),
         np.concatenate([ds.Y, polynomial_target(xs)]),
     )
-    assert nested.full_rank
     solves = []
     solve = np.linalg.solve
 
@@ -417,12 +416,5 @@ def test_nested_ground_truth_on_a_rank_deficient_stack():
     rng = np.random.default_rng(28)
     x = rng.standard_normal((40, 6))
     x[:, 3] = x[:, 1]  # blocks with P >= 4 lose a mode
-    y = rng.standard_normal(40)
-    nested = factor_nested_ground_truth(x, y)
-    assert not nested.full_rank
-    for p in range(1, 7):
-        rank = svd(nested.r[:p, :p], stack_rows=40).rank
-        assert rank == svd(x[:, :p]).rank == (p if p < 4 else p - 1)
-        got = make_nested_ground_truth(nested, x[:5, :p], y[:5])
-        want = make_ground_truth(x[:, :p], y, x[:5, :p], y[:5])
-        assert_allclose(got.beta_star, want.beta_star, rtol=1e-9, atol=1e-12)
+    with pytest.raises(RankDeficientError, match="40x6 stack has rank 5, not 6"):
+        factor_nested_ground_truth(x, rng.standard_normal(40))

@@ -1,6 +1,7 @@
 import math
 import threading
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,6 @@ from descent_lab.experiments import (
     parse_ablation,
     parse_estimator,
     peak_ratio,
-    resolve_tau,
-    run_cell,
     run_polynomial_sweep,
     run_sweep,
 )
@@ -173,12 +172,17 @@ def _every_fitting_sigma_max(config: SweepConfig) -> list[float]:
             for x in pools for n in grid if n <= rows]
 
 
+def _default_tau(config: SweepConfig) -> float:
+    """The cutoff a sweep resolves for ``config`` under ``sv-cutoff``."""
+    return experiments._prepare(replace(config, ablation=AblationKind("sv-cutoff"))).ablation.tau
+
+
 @pytest.mark.parametrize("name", list(TAU_CONFIGS))
 def test_resolve_tau_matches_the_median_of_every_fitting_cell(name):
     config = SweepConfig(**TAU_CONFIGS[name])
-    tau = resolve_tau(config)
+    tau = _default_tau(config)
     assert tau == 0.9 * np.median(_every_fitting_sigma_max(config))
-    assert tau > 0 and resolve_tau(config) == tau
+    assert tau > 0 and _default_tau(config) == tau
 
 
 @pytest.mark.parametrize("config", [
@@ -187,7 +191,7 @@ def test_resolve_tau_matches_the_median_of_every_fitting_cell(name):
 ], ids=["grid-past-pool", "no-seeds"])
 def test_resolve_tau_without_a_fitting_cell_is_a_config_error(config):
     with pytest.raises(ConfigError, match="no usable cells"):
-        resolve_tau(config)
+        run_sweep(replace(config, ablation=AblationKind("sv-cutoff")))
 
 
 def test_resolve_tau_factors_about_half_the_cells(monkeypatch):
@@ -201,7 +205,7 @@ def test_resolve_tau_factors_about_half_the_cells(monkeypatch):
         return numpy_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    resolve_tau(SweepConfig(d=32, noise_sd=0.25, grid=HEADLINE_GRID, seeds=list(range(6))))
+    _default_tau(SweepConfig(d=32, noise_sd=0.25, grid=HEADLINE_GRID, seeds=list(range(6))))
     assert 0 < len(calls) <= 291
 
 
@@ -310,6 +314,26 @@ def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
     assert not out.failures and len(out.records) == 20
     # one fill per seed
     assert calls == [(1006, 12)] * 4
+
+
+@pytest.mark.parametrize("n", [1, 30, 300])
+def test_polynomial_stacks_keep_every_mode_with_margin(n):
+    # factor_nested_ground_truth has no rank-deficient route: the sweep's
+    # stacks, n training rows over the dense evaluation grid at the largest P
+    # it accepts, must keep every mode, with the rank tolerance
+    # max(N, P) sigma_max 1e-12 at most 1% of sigma_min.  Fewer columns only
+    # widen the margin (interlacing).
+    p_max = 200
+    with pytest.raises(ConfigError):
+        run_polynomial_sweep([p_max + 1], n=n, seeds=[0], noise_sd=0.5)
+    xs = np.linspace(-1.0, 1.0, experiments.DENSE_EVAL_POINTS)
+    xe = _legendre_matrix(xs, p_max)
+    for seed in range(20):
+        stack = np.vstack([make_polynomial_dataset(n, p_max, 0.5, seed).X, xe])
+        factor_nested_ground_truth(stack, np.zeros(stack.shape[0]))
+        sv = np.linalg.svd(stack, compute_uv=False)
+        tolerance = sv[0] * max(stack.shape) * linalg.RANK_TOLERANCE_SCALE
+        assert tolerance <= 1e-2 * sv[-1], f"seed {seed}"
 
 
 def _count_calls(monkeypatch, home, name):
@@ -529,12 +553,15 @@ def test_concurrent_sweeps_share_one_blas_limit(monkeypatch, blas_count):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_cell_matches_the_sweep_record(variant):
+    # Given the resolved cutoff, a cell's record depends on its own seed only:
+    # seed 3 alone gives the rows seed 3 has in a sweep with seed 0 before it.
     cfg = small_config(seeds=[0, 3], **VARIANTS[variant])
-    out = run_sweep(cfg)
-    assert not out.failures
-    for r in out.records:
-        if r.n_train in (2, 7, 8, 9, 24):
-            assert run_cell(cfg, r.n_train, r.seed) == r
+    both = run_sweep(cfg)
+    ablation = replace(cfg.ablation, tau=both.resolved["tau"])
+    alone = run_sweep(replace(cfg, seeds=[3], ablation=ablation))
+    assert not both.failures and not alone.failures
+    assert len(alone.records) == len(SMALL["grid"])
+    assert alone.records == [r for r in both.records if r.seed == 3]
 
 
 def test_polynomial_sweep_validation():
@@ -658,9 +685,14 @@ def test_median_series_groups_and_skips_missing():
 
 
 def test_run_cell_rejects_oversized_n_train():
-    cfg = small_config(grid=[2, 8, 16], seeds=[0])
-    with pytest.raises(ConfigError):
-        run_cell(cfg, 17, 0)
+    # 442 diabetes rows leave a 354-row training pool; the last entry passes it.
+    out = run_sweep(SweepConfig(**DIABETES, grid=[2, 20, 354, 355], seeds=[0, 1]))
+    assert [(r.n_train, r.seed) for r in out.records] == [
+        (n, seed) for n in (2, 20, 354) for seed in (0, 1)
+    ]
+    assert [(f.n_train, f.seed) for f in out.failures] == [(355, 0), (355, 1)]
+    for f in out.failures:
+        assert f.error == "ConfigError: n_train=355 exceeds the 354-row training pool"
 
 
 def test_unknown_source_is_rejected():
