@@ -1,7 +1,10 @@
 # The spike needs all three factors at once: small singular values, test
 # points that overlap the trailing modes, and training residuals for those
 # modes to amplify.  Remove any one and the peak flattens.  Ridge, which
-# caps 1/sigma instead of removing it, flattens the peak the same way.
+# caps 1/sigma instead of removing it, flattens the peak the same way: its
+# filter gain sigma / (sigma^2 + lambda) never exceeds 1 / (2 sqrt(lambda)),
+# and its records split its own test error, the variance shrunk and a bias
+# from the shrinkage in its place.
 #
 # Run from the repo root:  python3 demos/ablations.py
 

@@ -173,7 +173,8 @@ def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
     label, plot keywords) a log-scale plot of that field's median per
     ``key``, marked at the threshold ``marker``; the file ``panel(out_dir)``
     draws, if any; and the manifest: the cell counts, each failure under
-    ``failure_key`` and the outcome's ``resolved`` block.  Exit 0 when at
+    ``failure_key``, the outcome's ``data`` block if it has one, and its
+    ``resolved`` block.  Exit 0 when at
     most 10% of the cells failed, else 1, with one line on stderr: the
     failed count, the first failure's error and the manifest's path.
     """
@@ -192,8 +193,9 @@ def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
     ]
     outputs = [name for name in names if name] + ["manifest.json"]
     manifest = out_dir / "manifest.json"
+    extra = {} if outcome.data is None else {"data": outcome.data}
     write_manifest(manifest, args, outputs, outcome.resolved,
-                   cells_total=total, cells_failed=failed, failures=failures)
+                   cells_total=total, cells_failed=failed, failures=failures, **extra)
     if 10 * failed <= total:
         return 0
     print(f"descent-lab {args.command}: {failed} of {total} cells failed, the first with "

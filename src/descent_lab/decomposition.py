@@ -1,21 +1,26 @@
-"""Decompose the test prediction error of a minimum-norm linear fit.
+"""Decompose the test prediction error of a spectrally filtered linear fit.
 
 Write the targets as Y = X beta_star + E, where beta_star is the ideal linear
 model (operationally: the pseudoinverse fit on the full dataset) and E is the
-in-sample residual.  For the pseudoinverse fit beta_hat = X^+ Y, the error of
-a prediction at x_test against the ideal value y_star = x_test . beta_star
-splits exactly into two pieces:
+in-sample residual.  Every estimator the sweeps run is a filter on the
+training SVD, beta_hat = V diag(f / sigma) U^T Y, with shrink factor f_r = 1
+for the pseudoinverse X^+ Y and f_r = sigma_r^2 / (sigma_r^2 + lambda) for
+ridge (``linalg.spectral_filter``).  The error of a prediction at x_test
+against the ideal value y_star = x_test . beta_star splits exactly into two
+pieces:
 
-    bias      = x_test . (sum_r v_r v_r^T - I) beta_star
-    variance  = sum_r (1/sigma_r) (x_test . v_r) (u_r . E)
+    bias      = x_test . (V diag(f) V^T - I) beta_star
+    variance  = sum_r (f_r / sigma_r) (x_test . v_r) (u_r . E)
 
-The bias term is the information about beta_star lost in directions the
-training rows never span; it vanishes whenever the training matrix has full
-column rank.  Each variance contribution is a product of three factors: an
-inverse singular value, the projection of the test point onto that right
-singular vector, and the projection of the residual onto the matching left
-singular vector.  All three must be present at once for the test error to
-spike, which is exactly what happens near the interpolation threshold.
+For the pseudoinverse the bias term is the information about beta_star lost
+in directions the training rows never span; it vanishes whenever the
+training matrix has full column rank.  Ridge adds the shrinkage of the
+spanned directions.  Each variance contribution is a product of three
+factors: a filtered inverse singular value, the projection of the test point
+onto that right singular vector, and the projection of the residual onto the
+matching left singular vector.  All three must be present at once for the
+test error to spike, which is exactly what happens near the interpolation
+threshold; ridge caps the first at 1 / (2 sqrt(lambda)).
 
 The identity is algebraic, so it holds in every regime; the functions here
 verify it numerically against an independent least squares fit of the
@@ -24,6 +29,7 @@ training rows and refuse to return silently wrong numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,29 +40,25 @@ from .errors import (
     EmptySpectrumError,
     RankDeficientError,
 )
-from .linalg import (
-    SvdResult,
-    as_matrix,
-    as_vector,
-    project_onto_rowspace,
-    pseudoinverse_apply,
-    svd,
-)
+from .linalg import SvdResult, as_matrix, as_vector, pseudoinverse_apply, spectral_filter, svd
 
 # The crosscheck compares the decomposition with an independent least squares
 # fit of the original training rows and targets (``_lstsq_fit``).  When the
 # factorization keeps full rank min(N, D), the fit is Householder QR: of
-# [X y] for tall and square X, of X^T for wide X.  Otherwise (a truncated or
-# rank-deficient factorization) it is LAPACK's gelsd (np.linalg.lstsq) cut at
-# the factorization's own rank tolerance.  Neither shares a factorization
-# with the SVD, so the two routes drift apart by up to a few thousand times
-# machine epsilon times the condition number of the retained spectrum,
-# measured against the size of the terms being summed.  The gate scales with
-# both.  The worst drift seen, on the badly conditioned near-threshold cells
-# of the polynomial sweep (P 1:200, n = 30, seeds 0:19), used 1.4% of it, and
-# the linear sweeps under every ablation at most 0.003%; a wrong formula, a
-# dropped or rescaled mode or inconsistent residuals produce an O(1)
-# relative disagreement.
+# [X y] for tall and square X, of X^T for wide X, and for ridge of the
+# augmented [X y; sqrt(lambda) I 0] at every shape.  Otherwise (a truncated
+# or rank-deficient factorization) it is LAPACK's gelsd (np.linalg.lstsq)
+# cut at the factorization's own rank tolerance, and ridge then runs the
+# augmented QR on its fitted values.  None shares a factorization with the
+# SVD, so the two routes drift apart by up to a few thousand times machine
+# epsilon times the condition number of the retained spectrum, measured
+# against the size of the terms being summed.  The gate scales with both.
+# The worst drift seen, on the badly conditioned near-threshold cells of the
+# polynomial sweep (P 1:200, n = 30, seeds 0:19), used 1.4% of it, the
+# linear sweeps under every ablation at most 0.003%, and ridge (auto and
+# lambda = 0.1 under every ablation, headline sweep, seeds 0:11) at most
+# 0.0005%; a wrong formula, a dropped or rescaled mode or inconsistent
+# residuals produce an O(1) relative disagreement.
 CROSSCHECK_TOL = 1e-8
 CROSSCHECK_KAPPA_FACTOR = 65536.0
 
@@ -201,27 +203,40 @@ def _training_rows(x_train, y_train, s: SvdResult, gt: GroundTruth):
     return x_train, y_train
 
 
-def _lstsq_fit(x_train: np.ndarray, y_train: np.ndarray, s: SvdResult) -> np.ndarray:
+def _lstsq_fit(
+    x_train: np.ndarray, y_train: np.ndarray, s: SvdResult, lam: float
+) -> np.ndarray:
     # s only picks the route and, off full rank, the cutoff; the fit itself
-    # reads nothing but the training rows and targets.
+    # reads nothing but the training rows and targets (and lambda).
     n, d = x_train.shape
     if s.rank == 0:
         return np.zeros(d)
-    if s.rank == min(n, d):
-        if n >= d:
-            # [X y] = Q [R | Q^T y], so R beta = (Q^T y)[:d].
-            r = np.linalg.qr(np.column_stack([x_train, y_train]), mode="r")
-            return np.linalg.solve(r[:d, :d], r[:d, d])
+    if s.rank < min(n, d):
+        # gelsd treats sigma <= rcond * sigma_max as zero, the modes s
+        # dropped.  (A cutoff within rounding of a singular value may land on
+        # either side in the two drivers; the check then fails loudly.)
+        # gelsd reads rcond >= 1 as machine epsilon, so keeping no mode at
+        # all, the minimum-norm fit being zero, cannot be asked of it.
+        rcond = s.rank_tolerance / float(s.singular_values[0])
+        beta = np.linalg.lstsq(x_train, y_train, rcond=rcond)[0]
+        if lam == 0:
+            return beta
+        # Ridge of the fitted values X b, b = X_k^+ y the fit on the kept
+        # modes: (X^T X + lambda I)^-1 X^T X b keeps b's modes, each scaled
+        # by sigma^2 / (sigma^2 + lambda), which is ridge on the kept modes.
+        y_train = x_train @ beta
+    elif n < d and lam == 0:
         # X^T = Q R, so X = R^T Q^T and the minimum-norm fit is Q R^-T y.
         q, r = np.linalg.qr(x_train.T)
         return q @ np.linalg.solve(r.T, y_train)
-    # gelsd treats sigma <= rcond * sigma_max as zero, the modes s dropped.
-    # (A cutoff within rounding of a singular value may land on either side
-    # in the two drivers; the check then fails loudly.)  gelsd reads
-    # rcond >= 1 as machine epsilon, so keeping no mode at all, the
-    # minimum-norm fit being zero, cannot be asked of it.
-    rcond = s.rank_tolerance / float(s.singular_values[0])
-    return np.linalg.lstsq(x_train, y_train, rcond=rcond)[0]
+    # [X y] = Q [R | Q^T y], so R beta = (Q^T y)[:d]; for ridge the same with
+    # sqrt(lambda) I appended below X and zeros below y, which makes R
+    # invertible at every shape: R^T R = X^T X + lambda I.
+    a = np.column_stack([x_train, y_train])
+    if lam > 0:
+        a = np.vstack([a, np.column_stack([math.sqrt(lam) * np.eye(d), np.zeros(d)])])
+    r = np.linalg.qr(a, mode="r")
+    return np.linalg.solve(r[:d, :d], r[:d, d])
 
 
 def decompose_test_error(
@@ -229,8 +244,9 @@ def decompose_test_error(
 ) -> ErrorDecomposition:
     """Split the prediction error at one test point into bias and variance.
 
-    ``decompose_test_errors`` on the single row ``x_test``, cross-checked
-    the same way, plus the variance sum broken into its per-mode terms.
+    ``decompose_test_errors`` on the single row ``x_test`` for the
+    pseudoinverse fit (lam = 0), cross-checked the same way, plus the
+    variance sum broken into its per-mode terms.
     """
     x_test = as_vector(x_test, "x_test")
     (bias,), (variance,), (predicted,) = decompose_test_errors(
@@ -260,17 +276,20 @@ def decompose_test_error(
     )
 
 
-def decompose_test_errors(x_test_rows, x_train, y_train, s: SvdResult, gt: GroundTruth):
+def decompose_test_errors(
+    x_test_rows, x_train, y_train, s: SvdResult, gt: GroundTruth, *, lam: float = 0.0
+):
     """Split the prediction error at each test row into bias and variance.
 
     ``s`` is the factorization of ``x_train`` the decomposition runs on:
-    ``svd(x_train)``, or a truncation of it, which the minimum-norm fit then
-    shares.  Returns (bias, variance, predicted) arrays, one entry per test
-    row, with predicted = bias + variance.  Every row is cross-checked
-    against the prediction of an independent least squares fit on
-    (``x_train``, ``y_train``) at the same rank tolerance; a mismatch beyond
-    tolerance raises ``DecompositionMismatchError`` instead of returning bad
-    numbers.
+    ``svd(x_train)``, or a truncation of it, which the fit then shares.
+    ``lam`` picks the fit's spectral filter: 0 for the minimum-norm fit X^+ y
+    (``fit_pinv``), lambda > 0 for ridge (``fit_ridge``).  Returns (bias,
+    variance, predicted) arrays, one entry per test row, with predicted =
+    bias + variance.  Every row is cross-checked against the prediction of
+    an independent least squares fit on (``x_train``, ``y_train``) at the
+    same rank tolerance and lambda; a mismatch beyond tolerance raises
+    ``DecompositionMismatchError`` instead of returning bad numbers.
     """
     x_rows = as_matrix(x_test_rows, "x_test_rows")
     if x_rows.shape[1] != s.n_cols:
@@ -279,22 +298,26 @@ def decompose_test_errors(x_test_rows, x_train, y_train, s: SvdResult, gt: Groun
         )
     x_train, y_train = _training_rows(x_train, y_train, s, gt)
 
-    # One product with the test rows, [V | beta_star | beta_hat | P beta_star
-    # - beta_star]^T x_rows^T (the bias row only off full column rank), taken
-    # transposed so xv and each vector come out contiguous: strided slices
-    # cost more than the fusion saves on 256 x 32 test sets.
-    r, deficient = s.rank, s.rank < s.n_cols
-    w = np.empty((r + 2 + deficient, s.n_cols))
+    # One product with the test rows, [V | beta_star | beta_hat | (V diag(f)
+    # V^T - I) beta_star]^T x_rows^T (the bias row only off full column rank
+    # or under ridge), taken transposed so xv and each vector come out
+    # contiguous: strided slices cost more than the fusion saves on 256 x 32
+    # test sets.
+    r, with_bias = s.rank, s.rank < s.n_cols or lam > 0
+    w = np.empty((r + 2 + with_bias, s.n_cols))
     w[:r] = s.v_cols.T
     w[r] = gt.beta_star
-    w[r + 1] = _lstsq_fit(x_train, y_train, s)
-    if deficient:
-        w[r + 2] = project_onto_rowspace(gt.beta_star, s) - gt.beta_star
+    w[r + 1] = _lstsq_fit(x_train, y_train, s, lam)
+    if with_bias:
+        vb = gt.beta_star @ s.v_cols
+        if lam > 0:
+            vb = spectral_filter(s, s.singular_values * vb, lam)  # f_r (v_r . beta_star)
+        w[r + 2] = vb @ s.v_cols.T - gt.beta_star
     products = w @ x_rows.T
     xv, y_star, fitted = products[:r].T, products[r], products[r + 1]
-    bias = products[r + 2] if deficient else np.zeros(x_rows.shape[0])
+    bias = products[r + 2] if with_bias else np.zeros(x_rows.shape[0])
 
-    coeff = (s.u_cols.T @ gt.residuals) / s.singular_values
+    coeff = spectral_filter(s, s.u_cols.T @ gt.residuals, lam)
     variance = xv @ coeff
     predicted = bias + variance
     observed = fitted - y_star

@@ -16,8 +16,11 @@
   eta < 2 / sigma_max^2.
 
 Sweeps fit with ``fit_pinv`` and ``fit_ridge`` only, on each cell's own
-SVD; the normal-equation and Gram fits are library estimators that the
-tests compare with the pseudoinverse.
+SVD.  Both are one spectral filter, beta = V diag(f / sigma) U^T Y, with
+shrink factor f = 1 or sigma^2 / (sigma^2 + lambda)
+(``linalg.spectral_filter``), and share one body.  The normal-equation and
+Gram fits are library estimators that the tests compare with the
+pseudoinverse.
 
 Regime vocabulary used throughout: underparameterized means N > D,
 interpolation means N = D, overparameterized means N < D.
@@ -149,15 +152,21 @@ def fit_min_norm(x, y) -> FitResult:
     return FitResult(beta=beta, regime=regime_of(n, d), train_mse=_mse(x, y, beta))
 
 
+def _filtered_fit(x, y, lam: float, s: SvdResult | None) -> FitResult:
+    # The body fit_pinv (lam = 0) and fit_ridge share; pseudoinverse_apply
+    # checks s against x.
+    x, y = _validate_xy(x, y)
+    beta = pseudoinverse_apply(x, y, s=s, lam=lam)
+    return FitResult(beta=beta, regime=regime_of(*x.shape), train_mse=_mse(x, y, beta))
+
+
 def fit_pinv(x, y, *, s: SvdResult | None = None) -> FitResult:
     """Pseudoinverse fit beta = X^+ Y, defined for every shape and rank.
 
     ``s`` is ``svd(x)``, or a truncation of it, when the caller already
     holds it; the fit then uses exactly its modes.
     """
-    x, y = _validate_xy(x, y)
-    beta = pseudoinverse_apply(x, y, s=s)
-    return FitResult(beta=beta, regime=regime_of(*x.shape), train_mse=_mse(x, y, beta))
+    return _filtered_fit(x, y, 0.0, s)
 
 
 def fit_ridge(x, y, lam: float, *, s: SvdResult | None = None) -> FitResult:
@@ -171,14 +180,9 @@ def fit_ridge(x, y, lam: float, *, s: SvdResult | None = None) -> FitResult:
     ``fit_pinv``; use that directly for the limit instead of passing
     lambda = 0.  ``s`` is as in ``fit_pinv``.
     """
-    x, y = _validate_xy(x, y)
     if not lam > 0:
         raise DomainError(f"ridge needs lambda > 0, got {lam}")
-    if s is None:
-        s = svd(x)
-    sv = s.singular_values
-    beta = s.v_cols @ (sv / (sv * sv + lam) * (s.u_cols.T @ y))
-    return FitResult(beta=beta, regime=regime_of(*x.shape), train_mse=_mse(x, y, beta))
+    return _filtered_fit(x, y, lam, s)
 
 
 def fit_gradient_descent(x, y, eta: float, steps: int, record_every: int = 0) -> GdTrace:

@@ -5,7 +5,7 @@ polynomial variant, walks the feature count ``P`` across it at fixed ``n``),
 fits the minimum-norm estimator X^+ y (or ridge, when asked) in every
 (n_train, seed) cell, and records train/test error, the smallest nonzero
 singular value of the training matrix, and the mean magnitudes of the bias
-and variance terms of the error decomposition.
+and variance terms of that fit's error decomposition.
 
 Each seed draws its training pool and its test set once and fits the ideal
 model beta_star once, on pool and test together; every cell of the seed
@@ -172,6 +172,16 @@ class EstimatorPolicy:
                     f"ridge auto coefficient must be finite and > 0, got {self.auto_coeff}"
                 )
 
+    def lam_for(self, s: SvdResult) -> float:
+        """The ridge strength for a cell factored as ``s``: 0 for pinv and for
+        a rank-0 factorization (whose fit is zero either way), else the fixed
+        lambda or auto_coeff * sigma_max^2."""
+        if self.kind == "pinv" or s.rank == 0:
+            return 0.0
+        if self.lam is not None:
+            return self.lam
+        return self.auto_coeff * float(s.singular_values[0]) ** 2
+
     def label(self) -> str:
         if self.kind == "pinv":
             return "pinv"
@@ -233,11 +243,15 @@ class SweepOutcome:
     """All records of a sweep (sorted by n_train, seed) plus any failures, and
     ``resolved``, every value that decides the records (its source, grid,
     seeds, cutoff and the like), then the ``blas_threads`` the cells ran
-    with (None: BLAS left as it was)."""
+    with (None: BLAS left as it was).  For a csv sweep, ``data`` says what
+    ``load_csv`` dropped: the rows with a missing value, the constant
+    columns and the non-numeric columns.  It follows from the file, so it
+    stays out of ``resolved``."""
 
     records: list[SweepRecord]
     failures: list[CellFailure] = field(default_factory=list)
     resolved: dict = field(default_factory=dict)
+    data: dict | None = None
 
 
 @dataclass
@@ -413,28 +427,20 @@ def _cell(
     """The data columns of one cell's record, all from its one factorization.
 
     ``s`` factors the training rows ``x`` (truncated under sv-cutoff); the
-    fit, sigma_min and the decomposition all use it.  Unless ridge is asked
-    for, the fit is X^+ y on ``s``, the very estimator the decomposition
-    splits and crosschecks, so test_mse is the crosschecked error.
+    fit, sigma_min and the decomposition all use it, with the one lambda the
+    policy resolves for it (0 for the pseudoinverse).  The fit is the
+    spectral filter the decomposition splits and crosschecks, X^+ y or ridge
+    on ``s``, so test_mse is the crosschecked error for every estimator.
     ``x_eval`` and ``y_eval`` are the rows the test error is measured on.
     """
-    if policy.kind == "ridge" and s.rank > 0:
-        lam = policy.lam
-        if lam is None:
-            lam = policy.auto_coeff * float(s.singular_values[0]) ** 2
-        fit = fit_ridge(x, y, lam, s=s)
-    else:
-        fit = fit_pinv(x, y, s=s)
-
+    lam = policy.lam_for(s)
+    fit = fit_ridge(x, y, lam, s=s) if lam > 0 else fit_pinv(x, y, s=s)
     resid = x_eval @ fit.beta - y_eval
     try:
         sv = smallest_nonzero_singular_value(s)
     except EmptySpectrumError:
         sv = None
-
-    # The decomposition always describes the minimum-norm mechanism on the
-    # (possibly ablated) training data; ridge alters only the MSE columns.
-    bias_vec, var_vec, _ = decompose_test_errors(x_eval, x, y, s, gt)
+    bias_vec, var_vec, _ = decompose_test_errors(x_eval, x, y, s, gt, lam=lam)
     return dict(
         train_mse=fit.train_mse,
         test_mse=float(resid @ resid / x_eval.shape[0]),
@@ -534,26 +540,33 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
     it (the noise level for synthetic data; for a csv, the SHA-256 of the
     file's bytes in place of its path, the target column and
     standardization), d, the grid, the seeds, the ablation label and its
-    cutoff tau, the estimator label, and the BLAS thread count.
+    cutoff tau, the estimator label, and the BLAS thread count.  A csv
+    sweep also fills ``data`` from the dataset's ``Preprocessing``.
     """
     plan = _prepare(config)
     outcome = _run_seeded(
         plan.grid, config.seeds, partial(_seed_state, plan), partial(_linear_cell, plan)
     )
     if plan.csv_ds is None:
-        data = {"source": config.source, "d": plan.d, "noise_sd": config.noise_sd}
+        source = {"source": config.source, "d": plan.d, "noise_sd": config.noise_sd}
     else:
         with open(config.source[4:], "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        data = {
+        source = {
             "source": "csv",
             "data_sha256": digest,
             "target_column": config.target_column,
             "standardize": config.standardize,
             "d": plan.d,
         }
+        prep = plan.csv_ds.preprocessing
+        outcome.data = {
+            "rows_dropped_for_missing": prep.rows_dropped_for_missing,
+            "constant_columns_dropped": prep.constant_columns_dropped,
+            "non_numeric_columns_dropped": prep.non_numeric_columns_dropped,
+        }
     outcome.resolved = {
-        **data,
+        **source,
         "grid": plan.grid,
         "seeds": list(config.seeds),
         "ablation": plan.ablation.label(),

@@ -12,6 +12,10 @@ Everything downstream (estimators, error decomposition, sweeps) is built on the
   with the matching left vector flipped alongside it, so factorizations are
   reproducible fixtures rather than sign lotteries.
 
+Every estimator the sweeps run is a spectral filter on that factorization,
+beta = V diag(f / sigma) U^T y (``spectral_filter``): f = 1 is the
+pseudoinverse, f = sigma^2 / (sigma^2 + lambda) ridge.
+
 Matrices are data-by-features: rows are observations, columns are features.
 
 ``one_blas_thread`` holds the BLAS numpy loaded to one thread for a block of
@@ -142,17 +146,36 @@ def svd(x, *, stack_rows: int | None = None) -> SvdResult:
     )
 
 
-def pseudoinverse_apply(x, y, *, s: SvdResult | None = None) -> np.ndarray:
-    """Return the minimum-norm least squares solution X^+ y.
+def spectral_filter(s: SvdResult, b: np.ndarray, lam: float = 0.0) -> np.ndarray:
+    """Scale the mode coordinates ``b`` by the filter gains f_r / sigma_r,
+    with shrink factor f_r = sigma_r^2 / (sigma_r^2 + lam).
 
-    Computed mode by mode as sum_r (1/sigma_r) (u_r . y) v_r, which keeps the
-    result inside the span of X's rows by construction.  A rank-zero matrix
-    maps everything to the zero vector.  ``s`` is ``svd(x)`` (or a truncation
-    of it) when the caller already holds it; left out, it is computed here.
+    For lam = 0 that is b / sigma, the pseudoinverse; for lam > 0 it is
+    sigma / (sigma^2 + lam) b, ridge, whose gain never exceeds 1 / (2 sqrt
+    lam).  Applied to U^T y it gives the fit's coefficients on V.  A
+    negative or non-finite lam raises ``DomainError``.
+    """
+    sv = s.singular_values
+    if lam == 0:
+        return b / sv
+    if not (lam > 0 and np.isfinite(lam)):
+        raise DomainError(f"the filter needs a finite lambda >= 0, got {lam}")
+    return sv / (sv * sv + lam) * b
+
+
+def pseudoinverse_apply(x, y, *, s: SvdResult | None = None, lam: float = 0.0) -> np.ndarray:
+    """Return the minimum-norm least squares solution X^+ y, or for lam > 0
+    the ridge solution on the same modes.
+
+    Computed mode by mode as V ``spectral_filter``(U^T y), sum_r (f_r /
+    sigma_r) (u_r . y) v_r, which keeps the result inside the span of X's
+    rows by construction.  A rank-zero matrix maps everything to the zero
+    vector.  ``s`` is ``svd(x)`` (or a truncation of it) when the caller
+    already holds it; left out, it is computed here.
 
     Raises ``DomainError`` when the solution is not representable: some
-    1/sigma_r overflows, or beta . beta does (|beta| beyond about 1e154), as
-    happens for matrices scaled far below the targets.
+    coefficient overflows, or beta . beta does (|beta| beyond about 1e154),
+    as happens for matrices scaled far below the targets.
     """
     x = as_matrix(x)
     y = as_vector(y)
@@ -168,14 +191,13 @@ def pseudoinverse_apply(x, y, *, s: SvdResult | None = None) -> np.ndarray:
             f"{x.shape[0]}x{x.shape[1]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = (s.u_cols.T @ y) / s.singular_values
-        beta = s.v_cols @ coeffs
-        representable = (
-            np.isfinite(1.0 / s.singular_values).all() and np.isfinite(beta @ beta)
-        )
+        beta = s.v_cols @ spectral_filter(s, s.u_cols.T @ y, lam)
+        # an infinite coefficient leaves an inf or nan in beta
+        representable = np.isfinite(beta @ beta)
     if not representable:
+        what = "X^+ y" if lam == 0 else f"the ridge fit at lambda {lam:.3g}"
         raise DomainError(
-            f"X^+ y overflows: sigma_min = {s.singular_values[-1]:.3g} "
+            f"{what} overflows: sigma_min = {s.singular_values[-1]:.3g} "
             f"against |y| up to {np.abs(y).max():.3g}"
         )
     return beta

@@ -143,6 +143,33 @@ def test_config_hash_follows_the_csv_data_not_its_path(tmp_path, monkeypatch):
     assert run("edited", copy) != plain
 
 
+def test_a_csv_sweep_manifest_says_what_the_loader_dropped(tmp_path):
+    # one row with a missing field, one constant column, one non-numeric
+    # column: the manifest's data block counts each, beside resolved
+    rng = np.random.default_rng(5)
+    lines = ["a,b,c,d,const,name,target"]
+    for i in range(30):
+        a, b, c, d, target = rng.standard_normal(5).tolist()
+        lines.append(f"{a!r},{'' if i == 7 else repr(b)},{c!r},{d!r},1.5,row{i},{target!r}")
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--dataset", f"csv:{path}", "--target-col", "target",
+                 "--grid", "2:20", "--seeds", "0", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["data"] == {
+        "rows_dropped_for_missing": 1,
+        "constant_columns_dropped": ["const"],
+        "non_numeric_columns_dropped": ["name"],
+    }
+    assert manifest["resolved"]["d"] == 4 and "data" not in manifest["resolved"]
+    assert manifest["config_hash"] == config_hash(manifest["resolved"])
+    synthetic = tmp_path / "synthetic"
+    assert main(["sweep", "--d", "4", "--grid", "2:8", "--seeds", "0",
+                 "--out", str(synthetic)]) == 0
+    assert "data" not in json.loads((synthetic / "manifest.json").read_text())
+
+
 def held_blas_threads():
     """The BLAS thread count sweeps run with: 1, or None without an
     OpenBLAS to hold."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from descent_lab import decomposition
 from descent_lab.data import _legendre_matrix, make_polynomial_dataset, polynomial_target
 from descent_lab.decomposition import (
     GroundTruth,
@@ -18,11 +19,12 @@ from descent_lab.errors import (
     EmptySpectrumError,
     RankDeficientError,
 )
-from descent_lab.estimators import fit_pinv
+from descent_lab.estimators import fit_pinv, fit_ridge
 from descent_lab.linalg import (
     SvdResult,
     project_onto_rowspace,
     pseudoinverse_apply,
+    spectral_filter,
     svd,
     truncate_svd,
 )
@@ -154,11 +156,24 @@ def test_crosscheck_catches_wrong_decompositions():
             decompose_test_error(tests[0], x, y, s, flipped)
 
 
+def _fitted(x, y, s, lam):
+    """The fit a decomposition at ``lam`` describes: X^+ y, or ridge."""
+    return (fit_ridge(x, y, lam, s=s) if lam > 0 else fit_pinv(x, y, s=s)).beta
+
+
+def _pinv_filter_only(monkeypatch):
+    """A wrong double: the decomposition applies the pseudoinverse's filter
+    whatever lambda it is given, while its crosscheck still fits ridge."""
+    monkeypatch.setattr(decomposition, "spectral_filter",
+                        lambda s, b, lam=0.0: spectral_filter(s, b))
+
+
 @pytest.mark.parametrize("n", [20, 8, 5], ids=["tall", "square", "wide"])
-def test_crosscheck_catches_full_rank_wrong_decompositions(lstsq_calls, n):
+def test_crosscheck_catches_full_rank_wrong_decompositions(lstsq_calls, monkeypatch, n):
     # Doubles that keep full rank, so the crosscheck fits by QR, not gelsd:
     # one singular value rescaled, or one right singular vector negated
-    # without its left partner.
+    # without its left partner.  The same for the pseudoinverse (lam = 0)
+    # and for ridge, whose QR runs on [X y; sqrt(lam) I 0].
     rng = np.random.default_rng(32)
     x_full = rng.standard_normal((40, 8))
     y_full = x_full @ rng.standard_normal(8) + 0.5 * rng.standard_normal(40)
@@ -167,18 +182,25 @@ def test_crosscheck_catches_full_rank_wrong_decompositions(lstsq_calls, n):
     gt = make_ground_truth(x_full, y_full, x, y)
     s = svd(x)
     assert s.rank == min(n, 8)
-    decompose_test_errors(tests, x, y, s, gt)  # the real thing passes
-    for mode in range(s.rank):
-        scaled = s.singular_values.copy()
-        scaled[mode] *= 1.5
-        flipped = s.v_cols.copy()
-        flipped[:, mode] *= -1
-        for wrong in (
-            SvdResult(s.u_cols, scaled, s.v_cols, s.rank, s.rank_tolerance),
-            SvdResult(s.u_cols, s.singular_values, flipped, s.rank, s.rank_tolerance),
-        ):
-            with pytest.raises(DecompositionMismatchError):
-                decompose_test_errors(tests, x, y, wrong, gt)
+    for lam in (0.0, 0.1):
+        # the real thing passes
+        _, _, pred = decompose_test_errors(tests, x, y, s, gt, lam=lam)
+        assert_allclose(pred, tests @ (_fitted(x, y, s, lam) - gt.beta_star), atol=1e-10)
+        for mode in range(s.rank):
+            scaled = s.singular_values.copy()
+            scaled[mode] *= 1.5
+            flipped = s.v_cols.copy()
+            flipped[:, mode] *= -1
+            for wrong in (
+                SvdResult(s.u_cols, scaled, s.v_cols, s.rank, s.rank_tolerance),
+                SvdResult(s.u_cols, s.singular_values, flipped, s.rank, s.rank_tolerance),
+            ):
+                with pytest.raises(DecompositionMismatchError):
+                    decompose_test_errors(tests, x, y, wrong, gt, lam=lam)
+    # a ridge fit described with the pseudoinverse's filter does not balance
+    _pinv_filter_only(monkeypatch)
+    with pytest.raises(DecompositionMismatchError):
+        decompose_test_errors(tests, x, y, s, gt, lam=0.1)
     assert lstsq_calls == []
 
 
@@ -193,15 +215,18 @@ def test_duplicated_rows_fall_back_to_gelsd(lstsq_calls):
         gt = make_ground_truth(x_full, y_full, x, y)
         s = svd(x)
         assert s.rank == 4 < min(n, 6)
-        bias, var, pred = decompose_test_errors(x_full[20:], x, y, s, gt)
-        beta_hat = fit_pinv(x, y, s=s).beta
-        assert_allclose(pred, x_full[20:] @ (beta_hat - gt.beta_star), atol=1e-10)
-    assert lstsq_calls == [(12, 6), (6, 6), (5, 6)]
+        # the pseudoinverse, then ridge on the four kept modes
+        for lam in (0.0, 0.1):
+            bias, var, pred = decompose_test_errors(x_full[20:], x, y, s, gt, lam=lam)
+            beta_hat = _fitted(x, y, s, lam)
+            assert_allclose(pred, x_full[20:] @ (beta_hat - gt.beta_star), atol=1e-10)
+    assert lstsq_calls == [(12, 6), (12, 6), (6, 6), (6, 6), (5, 6), (5, 6)]
 
 
-def test_crosscheck_follows_a_truncated_factorization():
+def test_crosscheck_follows_a_truncated_factorization(monkeypatch):
     # A truncated SVD is checked against least squares on the original rows
-    # cut at the truncation, down to keeping no mode at all.
+    # cut at the truncation, down to keeping no mode at all; ridge (lam > 0)
+    # against the ridge fit of that least squares fit's values.
     rng = np.random.default_rng(30)
     x_full = rng.standard_normal((60, 6))
     y_full = x_full @ rng.standard_normal(6) + 0.3 * rng.standard_normal(60)
@@ -213,10 +238,15 @@ def test_crosscheck_follows_a_truncated_factorization():
     # between two LAPACK drivers, and the check then fails loudly
     for cutoff in (0.0, float(sv[2] + sv[3]) / 2, float(sv[0]) * 2):
         t = truncate_svd(s, cutoff)
-        bias, var, pred = decompose_test_errors(x_full[40:], x, y, t, gt)
-        beta_hat = fit_pinv(x, y, s=t).beta
-        assert_allclose(pred, x_full[40:] @ (beta_hat - gt.beta_star), atol=1e-10)
+        for lam in (0.0, 0.1):
+            bias, var, pred = decompose_test_errors(x_full[40:], x, y, t, gt, lam=lam)
+            beta_hat = _fitted(x, y, t, lam)
+            assert_allclose(pred, x_full[40:] @ (beta_hat - gt.beta_star), atol=1e-10)
     assert t.rank == 0 and np.all(var == 0)
+    _pinv_filter_only(monkeypatch)
+    with pytest.raises(DecompositionMismatchError):
+        decompose_test_errors(x_full[40:], x, y, truncate_svd(s, float(sv[2] + sv[3]) / 2),
+                              gt, lam=0.1)
 
 
 def test_training_rows_must_match_the_factorization():

@@ -22,7 +22,7 @@ from descent_lab.estimators import (
     fit_ridge,
     regime_of,
 )
-from descent_lab.linalg import pseudoinverse_apply, svd, truncate_svd
+from descent_lab.linalg import pseudoinverse_apply, spectral_filter, svd, truncate_svd
 
 
 def test_regime_labels():
@@ -161,6 +161,12 @@ def test_ridge_rejects_nonpositive_lambda():
         fit_ridge([[1.0]], [1.0], 0.0)
     with pytest.raises(DomainError):
         fit_ridge([[1.0]], [1.0], -1.0)
+    # the filter behind the fits and the decomposition refuses a negative or
+    # non-finite lambda too
+    s = svd([[1.0]])
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            spectral_filter(s, np.ones(1), lam)
 
 
 def test_ridge_vanishing_lambda_stays_on_the_retained_modes():
@@ -193,8 +199,12 @@ def test_fits_from_a_given_factorization():
     # a truncated factorization fits on its own modes only
     t = truncate_svd(s, float(s.singular_values[2] + s.singular_values[3]) / 2)
     assert_allclose(fit_pinv(x, y, s=t).beta, t.v_cols @ ((t.u_cols.T @ y) / t.singular_values))
-    with pytest.raises(DimensionMismatchError):
-        fit_pinv(x[:5], y[:5], s=s)
+    # a factorization of another shape is refused, by both fits
+    for fitter in (fit_pinv, lambda x, y, s: fit_ridge(x, y, 0.7, s=s)):
+        with pytest.raises(DimensionMismatchError):
+            fitter(x[:5], y[:5], s=s)
+        with pytest.raises(DimensionMismatchError):
+            fitter(x[:, :8], y, s=s)
 
 
 def test_train_mse_is_what_it_says():

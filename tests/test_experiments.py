@@ -258,10 +258,11 @@ def test_polynomial_sweep_matches_the_per_cell_path():
         assert_allclose((r.bias_term_mean, r.variance_term_mean), terms, rtol=1e-9)
 
 
-def _assert_test_mse_is_the_decomposed_error(record, x_eval, y_eval, x, y, s, gt):
+def _assert_test_mse_is_the_decomposed_error(record, x_eval, y_eval, x, y, s, gt, lam=0.0):
     # predicted = x_eval (beta_hat - beta_star) for the crosschecked fit
-    # beta_hat = X^+ y on s, so the record's test error must be its square.
-    _, _, predicted = decompose_test_errors(x_eval, x, y, s, gt)
+    # beta_hat on s, X^+ y or ridge at lam, so the record's test error must
+    # be its square.
+    _, _, predicted = decompose_test_errors(x_eval, x, y, s, gt, lam=lam)
     err = predicted - (y_eval - x_eval @ gt.beta_star)
     assert record.test_mse == pytest.approx(float(err @ err / len(err)), rel=1e-9)
 
@@ -289,9 +290,9 @@ def test_polynomial_cells_read_views_of_one_evaluation_block(monkeypatch):
     seen = []
     decompose = experiments.decompose_test_errors
 
-    def recording(x_test_rows, *args):
+    def recording(x_test_rows, *args, **kwargs):
         seen.append(x_test_rows)
-        return decompose(x_test_rows, *args)
+        return decompose(x_test_rows, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "decompose_test_errors", recording)
     out = run_polynomial_sweep([40, 3, 12, 12], n=10, seeds=[0, 1, 2], noise_sd=0.3)
@@ -358,6 +359,7 @@ VARIANTS = {
     "test-projection": dict(ablation=AblationKind("test-projection")),
     "linearized-targets": dict(ablation=AblationKind("linearized-targets")),
     "ridge:auto": dict(estimator=parse_estimator("ridge:auto")),
+    "ridge:0.1": dict(estimator=parse_estimator("ridge:0.1")),
 }
 
 
@@ -395,7 +397,7 @@ def test_crosscheck_runs_gelsd_only_on_truncated_cells(lstsq_calls, variant):
         assert lstsq_calls == []
 
 
-@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ridge:auto"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_headline_test_mse_is_the_decomposed_error(variant):
     cfg = SweepConfig(d=32, noise_sd=0.25, grid=list(range(2, 97)), seeds=[0, 1],
                       **VARIANTS[variant])
@@ -408,7 +410,8 @@ def test_headline_test_mse_is_the_decomposed_error(variant):
         x, y = pool.X[:r.n_train], pool.Y[:r.n_train]
         s, x_eval = apply_ablation(plan.ablation, svd(x), test.X)
         gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
-        _assert_test_mse_is_the_decomposed_error(r, x_eval, test.Y, x, y, s, gt)
+        _assert_test_mse_is_the_decomposed_error(r, x_eval, test.Y, x, y, s, gt,
+                                                 cfg.estimator.lam_for(s))
 
 
 def test_a_seed_listed_twice_gives_its_records_twice(monkeypatch):

@@ -38,17 +38,39 @@ def test_run_cells_takes_cells_and_the_cell_function():
     assert list(inspect.signature(experiments._run_cells).parameters) == ["cells", "one"]
 
 
-def test_tracer_sees_one_ablation_span_per_cell(spans, tmp_path):
+def _traced_sweep(spans, tmp_path, *flags):
+    """The spans of one traced ``sweep --d 8 --grid 2:24 --seeds 0``, 23
+    cells, with ``flags`` added; the patched functions are put back."""
     original = experiments.apply_ablation
     tracer = spans.Tracer().install()
     try:
         code = cli.main(["sweep", "--d", "8", "--grid", "2:24", "--seeds", "0",
-                         "--ablation", "sv-cutoff", "--out", str(tmp_path)])
+                         *flags, "--out", str(tmp_path)])
     finally:
         tracer.uninstall()
     assert code == 0
     assert experiments.apply_ablation is original
-    cells = [span[5] for span in tracer.spans if span[2] == "experiments.cell"]
-    ablated = [span[5] for span in tracer.spans if span[2] == "experiments.apply_ablation"]
+    return tracer.spans
+
+
+def _cells_of(spans, name):
+    return sorted(span[5] for span in spans if span[2] == name)
+
+
+def test_tracer_sees_one_ablation_span_per_cell(spans, tmp_path):
+    traced = _traced_sweep(spans, tmp_path, "--ablation", "sv-cutoff")
+    cells = _cells_of(traced, "experiments.cell")
     assert len(cells) == 23  # n_train 2..24, one seed
-    assert sorted(ablated) == sorted(cells)
+    assert _cells_of(traced, "experiments.apply_ablation") == cells
+
+
+def test_tracer_sees_the_ridge_fit_and_its_decomposition_in_every_cell(spans, tmp_path):
+    # a ridge cell fits through the traced fit_ridge and decomposes through
+    # the traced decompose_test_errors, so the benchmark's fit and decompose
+    # layers see it
+    traced = _traced_sweep(spans, tmp_path, "--estimator", "ridge:0.1")
+    cells = _cells_of(traced, "experiments.cell")
+    assert len(cells) == 23
+    assert _cells_of(traced, "estimators.fit_ridge") == cells
+    assert _cells_of(traced, "decomposition.decompose_test_errors") == cells
+    assert _cells_of(traced, "estimators.fit_pinv") == []
