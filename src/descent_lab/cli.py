@@ -171,21 +171,36 @@ def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
 
     records.csv; for each of ``medians`` (file name, record field, series
     label, plot keywords) a log-scale plot of that field's median per
-    ``key``, marked at the threshold ``marker``; the file ``panel(out_dir)``
-    draws, if any; and the manifest: the cell counts, each failure under
-    ``failure_key``, the outcome's ``data`` block if it has one, and its
-    ``resolved`` block.  Exit 0 when at
-    most 10% of the cells failed, else 1, with one line on stderr: the
-    failed count, the first failure's error and the manifest's path.
+    ``key``, marked at the threshold ``marker``; ``panel``, a (file name,
+    draw) pair, if any, by ``draw(path)``; and the manifest: the cell
+    counts, each failure under ``failure_key``, the outcome's ``data`` block
+    if it has one, ``outputs_failed`` if a plot raised (each such file and
+    its error), and the ``resolved`` block.  The manifest is written
+    whatever failed before it.  Exit 0 when at most 10% of the cells failed
+    and every plot was written, else 1, with one line on stderr: the failed
+    count and the first failure's error, each file not written and why, and
+    the manifest's path.
     """
     out_dir = _out_dir(args)
     write_records_csv(out_dir / "records.csv", outcome.records)
     names = ["records.csv"]
+    outputs_failed = []
+
+    def attempt(name, draw):
+        # draw() writes the file and returns its name, or None when there is
+        # nothing to plot; a raise goes to outputs_failed instead.
+        try:
+            names.append(draw())
+        except Exception as exc:
+            outputs_failed.append({"output": name, "error": f"{type(exc).__name__}: {exc}"})
+
     for name, attr, label, kw in medians:
-        xs, med = median_series(outcome.records, attr, key=key)
-        names.append(_maybe_plot(out_dir, name, [(xs, med)], [label], [marker], log_y=True, **kw))
+        attempt(name, lambda: _maybe_plot(
+            out_dir, name, [median_series(outcome.records, attr, key=key)], [label], [marker],
+            log_y=True, **kw))
     if panel is not None:
-        names.append(panel(out_dir))
+        name, draw = panel
+        attempt(name, lambda: draw(out_dir / name))
     failed = len(outcome.failures)
     total = len(outcome.records) + failed
     failures = [
@@ -194,12 +209,17 @@ def _write_sweep(args, outcome, *, key: str, failure_key: str, marker, medians,
     outputs = [name for name in names if name] + ["manifest.json"]
     manifest = out_dir / "manifest.json"
     extra = {} if outcome.data is None else {"data": outcome.data}
+    if outputs_failed:
+        extra["outputs_failed"] = outputs_failed
     write_manifest(manifest, args, outputs, outcome.resolved,
                    cells_total=total, cells_failed=failed, failures=failures, **extra)
-    if 10 * failed <= total:
+    problems = [f"{f['output']} not written: {f['error']}" for f in outputs_failed]
+    if 10 * failed > total:
+        problems.insert(0, f"{failed} of {total} cells failed, the first with "
+                           f"{outcome.failures[0].error}")
+    if not problems:
         return 0
-    print(f"descent-lab {args.command}: {failed} of {total} cells failed, the first with "
-          f"{outcome.failures[0].error}; see {manifest}", file=sys.stderr)
+    print(f"descent-lab {args.command}: {'; '.join(problems)}; see {manifest}", file=sys.stderr)
     return 1
 
 
@@ -252,12 +272,14 @@ def cmd_polyfit(args) -> int:
     return _write_sweep(
         args, outcome, key="d", failure_key="p",
         marker=(args.n, f"P = n = {args.n}"), medians=medians,
-        panel=lambda out_dir: _write_curve_panel(out_dir, args.n, p_grid, seeds[0], args.noise_sd),
+        panel=("fitted-curves.svg",
+               lambda path: _write_curve_panel(path, args.n, p_grid, seeds[0], args.noise_sd)),
     )
 
 
-def _write_curve_panel(out_dir: Path, n: int, p_grid: list[int], seed: int, noise_sd: float):
-    """Fitted curves at a few P values over one seed's training points."""
+def _write_curve_panel(path: Path, n: int, p_grid: list[int], seed: int, noise_sd: float):
+    """Write fitted curves at a few P values over one seed's training points
+    to ``path``; returns the file name."""
     xs = np.linspace(-1.0, 1.0, 400)
     target = polynomial_target(xs)
     series = [(xs, target)]
@@ -284,9 +306,8 @@ def _write_curve_panel(out_dir: Path, n: int, p_grid: list[int], seed: int, nois
         styles=styles,
         y_range=(-4.0, 4.0),
     )
-    name = "fitted-curves.svg"
-    (out_dir / name).write_text(svg, encoding="utf-8")
-    return name
+    path.write_text(svg, encoding="utf-8")
+    return path.name
 
 
 def cmd_gdcheck(args) -> int:

@@ -40,7 +40,14 @@ from .errors import (
     EmptySpectrumError,
     RankDeficientError,
 )
-from .linalg import SvdResult, as_matrix, as_vector, pseudoinverse_apply, spectral_filter, svd
+from .linalg import (
+    SvdResult,
+    as_matrix,
+    as_vector,
+    pseudoinverse_apply,
+    rank_tolerance,
+    spectral_filter,
+)
 
 # The crosscheck compares the decomposition with an independent least squares
 # fit of the original training rows and targets (``_lstsq_fit``).  When the
@@ -140,12 +147,13 @@ class NestedGroundTruth:
     SVD or a solve per block.
 
     The stack must keep all P_max modes under the rank tolerance of its own
-    shape, max(N, P_max) sigma_max * RANK_TOLERANCE_SCALE.  Dropping columns
-    can only raise the smallest singular value and lower the largest
-    (interlacing), so every leading block then keeps all its modes too, and
-    the solution is the minimum-norm one ``make_ground_truth`` computes on
-    the explicit block.  The polynomial sweep's stacks, n training rows over
-    the 1000-point evaluation grid at P <= 200, are far inside that margin.
+    shape (``linalg.rank_tolerance``), read off R's singular values alone.
+    Dropping columns can only raise the smallest singular value and lower
+    the largest (interlacing), so every leading block then keeps all its
+    modes too, and the solution is the minimum-norm one
+    ``make_ground_truth`` computes on the explicit block.  The polynomial
+    sweep's stacks, n training rows over the 1000-point evaluation grid at
+    P <= 200, are far inside that margin.
 
     This only pays when the features nest, as Legendre columns do across P.
     """
@@ -154,18 +162,23 @@ class NestedGroundTruth:
     r_inv: np.ndarray
 
 
-def factor_nested_ground_truth(x_full, y_full) -> NestedGroundTruth:
-    """Factor the full-data stack once; see ``NestedGroundTruth``.  Raises
-    ``RankDeficientError`` when the stack loses a mode."""
-    x_full = as_matrix(x_full, "x_full")
-    y_full = as_vector(y_full, "y_full")
-    if y_full.shape[0] != x_full.shape[0]:
-        raise DimensionMismatchError("full X and Y row counts differ")
-    n, p = x_full.shape
+def factor_nested_ground_truth(stack) -> NestedGroundTruth:
+    """Factor the augmented full-data stack [A b] once, A = [X; E] its first
+    P_max columns and the targets b its last; see ``NestedGroundTruth``.
+
+    The QR reads ``stack`` as given, so a caller can keep one array and
+    refill its rows between calls instead of building the stack anew.
+    Raises ``RankDeficientError`` when A loses a mode.
+    """
+    stack = as_matrix(stack, "stack")
+    n, p = stack.shape[0], stack.shape[1] - 1
+    if p < 1:
+        raise DimensionMismatchError("the stack needs a feature column and a target column")
     if n < p:
-        raise DimensionMismatchError(f"the stack must be tall, got {n}x{p}")
-    r = np.linalg.qr(np.column_stack([x_full, y_full]), mode="r")[:p]
-    rank = svd(r[:, :p], stack_rows=n).rank
+        raise DimensionMismatchError(f"the stack must be tall, got {n} rows for {p} features")
+    r = np.linalg.qr(stack, mode="r")[:p]
+    sv = np.linalg.svd(r[:, :p], compute_uv=False)
+    rank = int(np.count_nonzero(sv > rank_tolerance(sv, (n, p))))
     if rank < p:
         raise RankDeficientError(f"the {n}x{p} stack has rank {rank}, not {p}")
     return NestedGroundTruth(qtb=r[:, p], r_inv=np.linalg.inv(r[:, :p]))

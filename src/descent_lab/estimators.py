@@ -91,9 +91,19 @@ class GdTrace:
     distance_history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _mse(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    r = x @ beta - y
-    return float(r @ r / x.shape[0])
+def _mse(x: np.ndarray, y: np.ndarray, beta: np.ndarray, what: str = "training") -> float:
+    """The mean squared error of ``x @ beta`` against ``y``.  Raises
+    ``DomainError`` when it is not finite, as residuals beyond about 1e154
+    make it, instead of returning inf."""
+    # an overflow leaves inf or nan; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = x @ beta - y
+        mse = float(r @ r / x.shape[0])
+    if not math.isfinite(mse):
+        raise DomainError(
+            f"the {what} MSE overflows: residuals up to {np.abs(r).max():.3g}"
+        )
+    return mse
 
 
 def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:

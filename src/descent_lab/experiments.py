@@ -76,7 +76,7 @@ from .decomposition import (
     smallest_nonzero_singular_value,
 )
 from .errors import ConfigError, EmptySpectrumError
-from .estimators import fit_pinv, fit_ridge
+from .estimators import _mse, fit_pinv, fit_ridge
 from .linalg import SvdResult, one_blas_thread, project_onto_rowspace, svd, truncate_svd
 
 N_TEST_SYNTHETIC = 256
@@ -432,10 +432,11 @@ def _cell(
     spectral filter the decomposition splits and crosschecks, X^+ y or ridge
     on ``s``, so test_mse is the crosschecked error for every estimator.
     ``x_eval`` and ``y_eval`` are the rows the test error is measured on.
+    A train or test MSE that overflows fails the cell with ``DomainError``.
     """
     lam = policy.lam_for(s)
     fit = fit_ridge(x, y, lam, s=s) if lam > 0 else fit_pinv(x, y, s=s)
-    resid = x_eval @ fit.beta - y_eval
+    test_mse = _mse(x_eval, y_eval, fit.beta, "test")
     try:
         sv = smallest_nonzero_singular_value(s)
     except EmptySpectrumError:
@@ -443,7 +444,7 @@ def _cell(
     bias_vec, var_vec, _ = decompose_test_errors(x_eval, x, y, s, gt, lam=lam)
     return dict(
         train_mse=fit.train_mse,
-        test_mse=float(resid @ resid / x_eval.shape[0]),
+        test_mse=test_mse,
         smallest_nonzero_sv=sv,
         bias_term_mean=float(np.mean(np.abs(bias_vec))),
         variance_term_mean=float(np.mean(np.abs(var_vec))),
@@ -587,16 +588,19 @@ def run_polynomial_sweep(
     entries produce duplicate records.  ``resolved`` holds n, the noise
     level, the P grid, the seeds and the BLAS thread count.
 
-    Legendre columns nest across P, so each seed's state, built by its
+    Legendre columns nest across P, so the run allocates one augmented
+    ground-truth stack [X y; E ye], a C-ordered (n + 1000) x (P_max + 1)
+    array.  Its last 1000 rows, the evaluation block E at P_max and its
+    noiseless targets ye, are written once.  Each seed's state, built by its
     first cell (``_run_seeded``), is its training set drawn once at P_max
-    and its (n + 1000) x P_max ground-truth stack factored once
-    (``NestedGroundTruth``).  Every cell reads the first P columns of the
-    training set and of the one 1000 x P_max evaluation block as views, not
-    copies.  The slices are bit-identical to a P-column draw, and on these
-    C-ordered blocks the records match the per-cell path (a fresh draw, its
-    own evaluation matrix, ``make_ground_truth`` on the explicit stack):
-    train and test MSE, sigma_min and regime bit for bit, the bias and
-    variance means to rounding.
+    and the stack factored once (``NestedGroundTruth``), after the draw is
+    written into the stack's first n rows over the previous seed's.  Every
+    cell reads the first P columns of the training set and of E, and ye, as
+    views, not copies.  The slices are bit-identical to a P-column draw, and
+    on these C-ordered blocks the records match the per-cell path (a fresh
+    draw, its own evaluation matrix, ``make_ground_truth`` on the explicit
+    stack): train and test MSE, sigma_min and regime bit for bit, the bias
+    and variance means to rounding.
     """
     if not p_grid:
         raise ConfigError("empty P grid")
@@ -607,16 +611,16 @@ def run_polynomial_sweep(
     if not 0 <= noise_sd < math.inf:
         raise ConfigError(f"noise-sd must be finite and >= 0, got {noise_sd}")
     xs = np.linspace(-1.0, 1.0, DENSE_EVAL_POINTS)
-    ye = polynomial_target(xs)
     p_max = max(p_grid)
-    xe_max = _legendre_matrix(xs, p_max)
+    stack = np.empty((n + DENSE_EVAL_POINTS, p_max + 1))
+    xe_max, ye = stack[n:, :p_max], stack[n:, p_max]
+    xe_max[...] = _legendre_matrix(xs, p_max)
+    ye[...] = polynomial_target(xs)
 
     def build(seed: int) -> tuple[Dataset, NestedGroundTruth]:
         ds = make_polynomial_dataset(n, p_max, noise_sd, seed)
-        truth = factor_nested_ground_truth(
-            np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
-        )
-        return ds, truth
+        stack[:n, :p_max], stack[:n, p_max] = ds.X, ds.Y
+        return ds, factor_nested_ground_truth(stack)
 
     pinv = EstimatorPolicy()
 

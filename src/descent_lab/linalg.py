@@ -103,16 +103,27 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply(u, sign, order="C"), np.multiply(vt, sign[:, None], order="C")
 
 
-def svd(x, *, stack_rows: int | None = None) -> SvdResult:
-    """Factor ``x`` as U diag(sigma) V^T, dropping numerically zero modes.
+def rank_tolerance(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
+    """The cutoff at or below which a singular value of an N x D matrix of
+    that ``shape`` counts as zero: sigma_max * max(N, D) *
+    ``RANK_TOLERANCE_SCALE``, and 0 for an empty spectrum.
+
+    ``svd`` keeps the values above it.  The triangular factor R of a QR of a
+    taller matrix A = QR has A's singular values, so A's shape gives R the
+    cutoff ``svd(A)`` would use.
+    """
+    if not singular_values.size:
+        return 0.0
+    return float(singular_values[0]) * max(shape) * RANK_TOLERANCE_SCALE
+
+
+def svd(x) -> SvdResult:
+    """Factor ``x`` as U diag(sigma) V^T, dropping the modes at or below
+    ``rank_tolerance``.
 
     Parameters
     ----------
     x : array-like, shape (N, D), N >= 1 and D >= 1, all entries finite.
-    stack_rows : when ``x`` is the triangular factor R of a QR of a taller
-        matrix A = QR, the row count of A.  R has A's singular values, and
-        the rank tolerance then uses A's shape, max(stack_rows, D), so the
-        retained modes are the ones ``svd(A)`` would keep.
 
     Returns
     -------
@@ -132,8 +143,7 @@ def svd(x, *, stack_rows: int | None = None) -> SvdResult:
         u, s, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise IterationFailureError(f"SVD did not converge: {exc}") from exc
-    rows = n if stack_rows is None else stack_rows
-    tol = float(s[0]) * max(rows, d) * RANK_TOLERANCE_SCALE if s.size else 0.0
+    tol = rank_tolerance(s, x.shape)
     keep = s > tol
     u, s, vt = u[:, keep], s[keep], vt[keep]
     u, vt = _fix_signs(u, vt)

@@ -1,6 +1,10 @@
 import csv
 import json
+import math
+import os
 import shlex
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -22,7 +26,7 @@ from descent_lab.decomposition import (
     factor_nested_ground_truth,
     make_nested_ground_truth,
 )
-from descent_lab.errors import ConfigError
+from descent_lab.errors import ConfigError, EmptySeriesError
 from descent_lab.estimators import fit_pinv
 from descent_lab.experiments import AblationKind, SweepConfig, SweepRecord, _prepare
 from descent_lab.linalg import pseudoinverse_apply, svd
@@ -358,6 +362,69 @@ def test_a_failed_sweep_says_so_on_stderr(tmp_path, capsys):
     assert "DomainError: X^+ y overflows" in err[0]
 
 
+def test_an_overflowing_mse_fails_its_cell_instead_of_recording_inf(tmp_path):
+    # Test residuals near 1e153 square past the largest float at P 5..20.  A
+    # fresh interpreter runs the command as a user would: under pytest the
+    # RuntimeWarning numpy prints for it is an error, which would fail the
+    # cells for the wrong reason.
+    out = tmp_path / "poly"
+    run = subprocess.run(
+        [sys.executable, "-m", "descent_lab", "polyfit", "--n", "30", "--p-grid", "1:60",
+         "--seeds", "0", "--noise-sd", "1e153", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1
+    assert "RuntimeWarning" not in run.stderr
+    rows = read_csv_rows(out / "records.csv")
+    assert rows and all(math.isfinite(float(r[k])) for r in rows for k in ("train_mse", "test_mse"))
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    overflows = [f for f in failures if "MSE overflows" in f["error"]]
+    assert [f["p"] for f in overflows] == list(range(5, 21))
+    assert all(f["error"].startswith("DomainError: the test MSE overflows") for f in overflows)
+
+
+def test_a_failed_panel_still_leaves_a_manifest(tmp_path, capsys):
+    # The only cell overflows X^+ y, and so does the curve panel's own fit,
+    # after records.csv is written.
+    out = tmp_path / "poly"
+    assert main(["polyfit", "--n", "30", "--p-grid", "200:200", "--seeds", "0",
+                 "--noise-sd", "1e300", "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "records.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["output_paths"] == ["records.csv", "manifest.json"]
+    [failed] = manifest["outputs_failed"]
+    assert failed["output"] == "fitted-curves.svg"
+    assert failed["error"].startswith("DomainError: X^+ y overflows")
+    assert capsys.readouterr().err.splitlines() == [
+        f"descent-lab polyfit: 1 of 1 cells failed, the first with "
+        f"{manifest['failures'][0]['error']}; fitted-curves.svg not written: "
+        f"{failed['error']}; see {out / 'manifest.json'}"
+    ]
+
+
+def test_a_plot_that_raises_is_named_and_the_rest_are_written(tmp_path, capsys, monkeypatch):
+    render = cli.render_line_svg
+
+    def failing(series, labels, markers, **kw):
+        if kw["y_label"] == "singular value":
+            raise EmptySeriesError("series 0 contains non-finite values")
+        return render(series, labels, markers, **kw)
+
+    monkeypatch.setattr(cli, "render_line_svg", failing)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--d", "4", "--grid", "2:12", "--seeds", "0", "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cells_failed"] == 0
+    assert manifest["output_paths"] == ["records.csv", "test-mse-vs-n.svg", "manifest.json"]
+    error = "EmptySeriesError: series 0 contains non-finite values"
+    assert manifest["outputs_failed"] == [{"output": "smallest-sv-vs-n.svg", "error": error}]
+    assert capsys.readouterr().err == (
+        f"descent-lab sweep: smallest-sv-vs-n.svg not written: {error}; "
+        f"see {out / 'manifest.json'}\n"
+    )
+
+
 def test_missing_dataset_exits_1(tmp_path, capsys):
     code = main([
         "sweep", "--dataset", f"csv:{tmp_path}/absent.csv", "--target-col", "y",
@@ -383,8 +450,9 @@ def test_polyfit_end_to_end(tmp_path):
             assert float(r["train_mse"]) <= 1e-8
     for svg in ("test-mse-vs-p.svg", "fitted-curves.svg"):
         assert parse_svg(out / svg).documentElement.tagName == "svg"
-    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
-    assert resolved["blas_threads"] == held_blas_threads()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved"]["blas_threads"] == held_blas_threads()
+    assert "outputs_failed" not in manifest
 
     out2 = tmp_path / "poly2"
     main([
@@ -445,7 +513,7 @@ def test_polyfit_records_match_the_per_cell_computation(tmp_path):
         for seed in (0, 1):
             ds = make_polynomial_dataset(30, 200, 0.5, seed)
             truth = factor_nested_ground_truth(
-                np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+                np.column_stack([np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])])
             )
             for p in range(1, 201):
                 x = np.ascontiguousarray(ds.X[:, :p])

@@ -357,7 +357,7 @@ def test_nested_ground_truth_matches_the_explicit_stack_at_every_p():
     for seed in (0, 11):
         full = make_polynomial_dataset(30, 200, 0.5, seed)
         nested = factor_nested_ground_truth(
-            np.vstack([full.X, xe]), np.concatenate([full.Y, ye])
+            np.column_stack([np.vstack([full.X, xe]), np.concatenate([full.Y, ye])])
         )
         for p in range(1, 201):
             ds = make_polynomial_dataset(30, p, 0.5, seed)
@@ -377,10 +377,10 @@ def test_nested_ground_truth_matches_the_explicit_stack_at_every_p():
 def test_nested_ground_truth_on_a_full_rank_stack_runs_no_solve(monkeypatch):
     xs = np.linspace(-1.0, 1.0, 1000)
     ds = make_polynomial_dataset(30, 200, 0.5, seed=0)
-    nested = factor_nested_ground_truth(
+    nested = factor_nested_ground_truth(np.column_stack([
         np.vstack([ds.X, _legendre_matrix(xs, 200)]),
         np.concatenate([ds.Y, polynomial_target(xs)]),
-    )
+    ]))
     solves = []
     solve = np.linalg.solve
 
@@ -409,7 +409,7 @@ def test_fused_products_on_a_strided_wide_polynomial_cell():
     x, rows = ds.X[:, :p], xe_max[:, :p]
     assert not rows.flags.c_contiguous
     nested = factor_nested_ground_truth(
-        np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+        np.column_stack([np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])])
     )
     gt = make_nested_ground_truth(nested, x, ds.Y)
     s = svd(x)
@@ -429,10 +429,12 @@ def test_nested_ground_truth_rejects_bad_shapes():
     rng = np.random.default_rng(27)
     x, y = rng.standard_normal((12, 5)), rng.standard_normal(12)
     with pytest.raises(DimensionMismatchError):
-        factor_nested_ground_truth(x.T, y[:5])  # wide stack
+        factor_nested_ground_truth(np.column_stack([x.T, y[:5]]))  # wide stack
     with pytest.raises(DimensionMismatchError):
-        factor_nested_ground_truth(x, y[:11])
-    nested = factor_nested_ground_truth(x, y)
+        factor_nested_ground_truth(y[:, None])  # targets without features
+    with pytest.raises(DimensionMismatchError):
+        factor_nested_ground_truth(y)
+    nested = factor_nested_ground_truth(np.column_stack([x, y]))
     with pytest.raises(DimensionMismatchError):
         make_nested_ground_truth(nested, rng.standard_normal((3, 6)), y[:3])
     assert_allclose(
@@ -447,4 +449,4 @@ def test_nested_ground_truth_on_a_rank_deficient_stack():
     x = rng.standard_normal((40, 6))
     x[:, 3] = x[:, 1]  # blocks with P >= 4 lose a mode
     with pytest.raises(RankDeficientError, match="40x6 stack has rank 5, not 6"):
-        factor_nested_ground_truth(x, rng.standard_normal(40))
+        factor_nested_ground_truth(np.column_stack([x, rng.standard_normal(40)]))

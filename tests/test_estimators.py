@@ -169,6 +169,16 @@ def test_ridge_rejects_nonpositive_lambda():
             spectral_filter(s, np.ones(1), lam)
 
 
+def test_an_overflowing_training_mse_raises_domain_error():
+    # X^+ y = 0 is representable, but residuals of 1e160 square past the
+    # largest float: the fit says so instead of reporting inf.
+    x, y = np.ones((3, 1)), np.array([1e160, -1e160, 0.0])
+    for fit in (fit_pinv, lambda x, y: fit_ridge(x, y, 0.5)):
+        with pytest.raises(DomainError, match="the training MSE overflows: residuals up to 1e"):
+            fit(x, y)
+    assert fit_pinv(x, y / 1e10).train_mse == pytest.approx(2e300 / 3)
+
+
 def test_ridge_vanishing_lambda_stays_on_the_retained_modes():
     # lambda far below the float precision of the Gram entries left the old
     # Gram solve exactly singular; on the singular modes it is just a tiny

@@ -276,7 +276,7 @@ def test_polynomial_test_mse_is_the_decomposed_error():
     for seed in (0, 1):
         ds = make_polynomial_dataset(n, p_max, 0.5, seed)
         truth = factor_nested_ground_truth(
-            np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])
+            np.column_stack([np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])])
         )
         for r in (r for r in out.records if r.seed == seed):
             x = np.ascontiguousarray(ds.X[:, :r.d])
@@ -286,7 +286,22 @@ def test_polynomial_test_mse_is_the_decomposed_error():
             )
 
 
+def _record_stacks(monkeypatch):
+    """Log every array the sweep factors its ground truth from."""
+    stacks = []
+    factor = experiments.factor_nested_ground_truth
+
+    def recording(stack):
+        stacks.append(stack)
+        return factor(stack)
+
+    monkeypatch.setattr(experiments, "factor_nested_ground_truth", recording)
+    return stacks
+
+
 def test_polynomial_cells_read_views_of_one_evaluation_block(monkeypatch):
+    # The evaluation rows and their targets are the bottom of the run's one
+    # augmented stack [X y; E ye], which the seeds' factorizations read.
     seen = []
     decompose = experiments.decompose_test_errors
 
@@ -295,26 +310,44 @@ def test_polynomial_cells_read_views_of_one_evaluation_block(monkeypatch):
         return decompose(x_test_rows, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "decompose_test_errors", recording)
+    mse, test_mse = [], experiments._mse
+
+    def recording_mse(x, y, beta, what):
+        mse.append((x, y))
+        return test_mse(x, y, beta, what)
+
+    monkeypatch.setattr(experiments, "_mse", recording_mse)
+    stacks = _record_stacks(monkeypatch)
     out = run_polynomial_sweep([40, 3, 12, 12], n=10, seeds=[0, 1, 2], noise_sd=0.3)
     assert not out.failures and len(seen) == 12
-    block = seen[0].base
-    assert block is not None and block.shape == (1000, 40)
-    assert all(x.base is block and np.shares_memory(x, block) for x in seen)
+    stack = stacks[0]
+    assert stack.shape == (1010, 41) and stack.flags.c_contiguous
+    assert all(x.base is stack for x in seen)
+    assert len(mse) == 12 and all(x.base is stack and y.base is stack for x, y in mse)
+    xs = np.linspace(-1.0, 1.0, 1000)
+    assert np.array_equal(stack[10:, :40], _legendre_matrix(xs, 40))
+    assert np.array_equal(stack[10:, 40], polynomial_target(xs))
 
 
 def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
-    calls = []
-    factor = experiments.factor_nested_ground_truth
-
-    def counting(x_full, y_full):
-        calls.append(x_full.shape)
-        return factor(x_full, y_full)
-
-    monkeypatch.setattr(experiments, "factor_nested_ground_truth", counting)
+    stacks = _record_stacks(monkeypatch)
     out = run_polynomial_sweep([12, 3, 7, 7, 1], n=6, seeds=[0, 1, 2, 3], noise_sd=0.3)
     assert not out.failures and len(out.records) == 20
-    # one fill per seed
-    assert calls == [(1006, 12)] * 4
+    # one factorization per seed, all of the run's one (n + 1000) x (P_max + 1)
+    # array, its training rows refilled by each seed
+    assert len(stacks) == 4 and all(stack is stacks[0] for stack in stacks)
+    assert stacks[0].shape == (1006, 13)
+    ds = make_polynomial_dataset(6, 12, 0.3, seed=3)
+    assert np.array_equal(stacks[0][:6], np.column_stack([ds.X, ds.Y]))
+
+
+def test_polynomial_records_do_not_depend_on_seed_order():
+    # The seeds overwrite one another's training rows in the shared stack.
+    grid = [1, 5, 6, 7, 30]
+    forward = run_polynomial_sweep(grid, n=6, seeds=[0, 1, 2], noise_sd=0.3)
+    shuffled = run_polynomial_sweep(grid, n=6, seeds=[2, 0, 1], noise_sd=0.3)
+    assert not forward.failures and len(forward.records) == 15
+    assert shuffled.records == forward.records
 
 
 @pytest.mark.parametrize("n", [1, 30, 300])
@@ -322,8 +355,8 @@ def test_polynomial_stacks_keep_every_mode_with_margin(n):
     # factor_nested_ground_truth has no rank-deficient route: the sweep's
     # stacks, n training rows over the dense evaluation grid at the largest P
     # it accepts, must keep every mode, with the rank tolerance
-    # max(N, P) sigma_max 1e-12 at most 1% of sigma_min.  Fewer columns only
-    # widen the margin (interlacing).
+    # (linalg.rank_tolerance, max(N, P) sigma_max 1e-12) at most 1% of
+    # sigma_min.  Fewer columns only widen the margin (interlacing).
     p_max = 200
     with pytest.raises(ConfigError):
         run_polynomial_sweep([p_max + 1], n=n, seeds=[0], noise_sd=0.5)
@@ -331,9 +364,9 @@ def test_polynomial_stacks_keep_every_mode_with_margin(n):
     xe = _legendre_matrix(xs, p_max)
     for seed in range(20):
         stack = np.vstack([make_polynomial_dataset(n, p_max, 0.5, seed).X, xe])
-        factor_nested_ground_truth(stack, np.zeros(stack.shape[0]))
+        factor_nested_ground_truth(np.column_stack([stack, np.zeros(stack.shape[0])]))
         sv = np.linalg.svd(stack, compute_uv=False)
-        tolerance = sv[0] * max(stack.shape) * linalg.RANK_TOLERANCE_SCALE
+        tolerance = linalg.rank_tolerance(sv, stack.shape)
         assert tolerance <= 1e-2 * sv[-1], f"seed {seed}"
 
 

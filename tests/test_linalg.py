@@ -15,6 +15,7 @@ from descent_lab.linalg import (
     one_blas_thread,
     project_onto_rowspace,
     pseudoinverse_apply,
+    rank_tolerance,
     svd,
     truncate_svd,
 )
@@ -90,15 +91,18 @@ def test_fix_signs_is_bit_identical_to_the_loop():
         assert got_vt.tobytes() == want_vt.tobytes()
 
 
-def test_stack_rows_sets_the_rank_tolerance_shape():
-    # R of a QR of a tall matrix has its singular values; with stack_rows the
-    # rank tolerance is the tall matrix's, max(N, D), not R's own max(D, D).
+def test_rank_tolerance_of_a_triangle_uses_the_stack_shape():
+    # R of a QR of a tall matrix has its singular values; given the tall
+    # matrix's shape, the rank tolerance is its max(N, D), not R's max(D, D).
     rng = np.random.default_rng(13)
     a = rng.standard_normal((50, 4)) * [1.0, 1.0, 1.0, 1e-11]
     r = np.linalg.qr(a, mode="r")
+    sv = np.linalg.svd(r, compute_uv=False)
     assert svd(r).rank == 4
-    assert svd(r, stack_rows=50).rank == svd(a).rank == 3
-    assert_allclose(svd(r, stack_rows=50).rank_tolerance, svd(a).rank_tolerance, rtol=1e-12)
+    assert np.count_nonzero(sv > rank_tolerance(sv, a.shape)) == svd(a).rank == 3
+    assert_allclose(rank_tolerance(sv, a.shape), svd(a).rank_tolerance, rtol=1e-12)
+    assert_allclose(rank_tolerance(sv, r.shape), svd(r).rank_tolerance, rtol=1e-12)
+    assert rank_tolerance(np.zeros(0), (3, 4)) == 0.0
 
 
 def test_svd_orthonormal_columns():
