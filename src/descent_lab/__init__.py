@@ -28,13 +28,11 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
 from .data import (
     Dataset,
     Preprocessing,
-    SplitSpec,
     legendre_features,
     load_csv,
     make_polynomial_dataset,
     make_student_teacher,
     polynomial_target,
-    split,
 )
 from .decomposition import (
     ErrorDecomposition,
@@ -123,7 +121,6 @@ __all__ = [
     "REGIME_INTERP",
     "REGIME_OVER",
     "REGIME_UNDER",
-    "SplitSpec",
     "SvdResult",
     "SweepConfig",
     "SweepOutcome",
@@ -154,7 +151,6 @@ __all__ = [
     "run_polynomial_sweep",
     "run_sweep",
     "smallest_nonzero_singular_value",
-    "split",
     "svd",
     "truncate_svd",
 ]

@@ -250,11 +250,12 @@ def cmd_sweep(args) -> int:
 
 
 # P values for the fitted-curve panel: well under the threshold, at it, and
-# the top of the grid.
+# the top of the grid, each the largest grid value at or below its pick (the
+# smallest grid value when none is), so the panel draws only swept P.
 def _panel_degrees(n: int, p_grid: list[int]) -> list[int]:
-    picks = [max(1, n // 3), min(max(p_grid), n), max(p_grid)]
     out = []
-    for p in picks:
+    for pick in (n // 3, n, max(p_grid)):
+        p = max((q for q in p_grid if q <= pick), default=min(p_grid))
         if p not in out:
             out.append(p)
     return out

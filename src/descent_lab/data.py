@@ -11,7 +11,8 @@ Three sources:
 
 All generators are pure functions of their parameters and a seed (PCG64 via
 ``numpy.random.default_rng``), so identical calls give identical datasets on
-every platform.
+every platform.  A sweep reads each seed's training pool and test set as
+views of one array of a dataset's rows (``experiments._environment``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import DataError, DomainError
 
 SOURCE_STUDENT_TEACHER = "synthetic-student-teacher"
 SOURCE_POLYNOMIAL = "polynomial"
@@ -63,15 +64,6 @@ class Dataset:
     @property
     def n_cols(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """How to carve a dataset into train and test."""
-
-    n_train: int
-    seed: int
-    shuffle: bool = True
 
 
 def legendre_features(x: float, p: int) -> np.ndarray:
@@ -255,32 +247,3 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
     return Dataset(X=x, Y=y, feature_names=names, source=f"csv:{path}",
                    preprocessing=prep)
 
-
-def _take_rows(ds: Dataset, rows) -> Dataset:
-    """A new Dataset holding the given rows (indices or a slice) of ``ds``."""
-    return Dataset(
-        X=ds.X[rows],
-        Y=ds.Y[rows],
-        feature_names=list(ds.feature_names),
-        source=ds.source,
-        preprocessing=ds.preprocessing,
-        seed=ds.seed,
-    )
-
-
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministically split into (train, test): disjoint and exhaustive.
-
-    With ``shuffle`` the row order is permuted by the seed first; without it
-    the first ``n_train`` rows are the training set.
-    """
-    n = ds.n_rows
-    if not 1 <= spec.n_train < n:
-        raise ConfigError(
-            f"n_train must be in [1, {n - 1}] for {n} rows, got {spec.n_train}"
-        )
-    if spec.shuffle:
-        order = np.random.default_rng(spec.seed).permutation(n)
-    else:
-        order = np.arange(n)
-    return _take_rows(ds, order[: spec.n_train]), _take_rows(ds, order[spec.n_train :])

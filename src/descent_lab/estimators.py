@@ -228,23 +228,23 @@ def fit_gradient_descent(x, y, eta: float, steps: int, record_every: int = 0) ->
         distances.append((0, float(np.linalg.norm(w - target))))
 
     executed = 0
-    for t in range(1, steps + 1):
-        # an unstable step overflows to inf or nan; the check below reports it
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an unstable step overflows to inf or nan; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
             w = w - eta * (x.T @ err)
             err = x @ w - y
             loss = float(err @ err / n)
-        history.append(loss)
-        executed = t
-        limit = max(GD_DIVERGENCE_FACTOR * min_loss, GD_DIVERGENCE_FLOOR)
-        if not math.isfinite(loss) or loss > limit:
-            raise DivergenceError(t)
-        if loss < min_loss:
-            min_loss = loss
-        if record_every > 0 and t % record_every == 0:
-            distances.append((t, float(np.linalg.norm(w - target))))
-        if loss < GD_LOSS_FLOOR:
-            break
+            history.append(loss)
+            executed = t
+            limit = max(GD_DIVERGENCE_FACTOR * min_loss, GD_DIVERGENCE_FLOOR)
+            if not math.isfinite(loss) or loss > limit:
+                raise DivergenceError(t)
+            if loss < min_loss:
+                min_loss = loss
+            if record_every > 0 and t % record_every == 0:
+                distances.append((t, float(np.linalg.norm(w - target))))
+            if loss < GD_LOSS_FLOOR:
+                break
 
     if record_every > 0 and (not distances or distances[-1][0] != executed):
         distances.append((executed, float(np.linalg.norm(w - target))))

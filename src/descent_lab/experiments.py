@@ -7,13 +7,13 @@ fits the minimum-norm estimator X^+ y (or ridge, when asked) in every
 singular value of the training matrix, and the mean magnitudes of the bias
 and variance terms of that fit's error decomposition.
 
-Each seed draws its training pool and its test set once and fits the ideal
-model beta_star once, on pool and test together; every cell of the seed
-takes its first n_train pool rows, factors them with one SVD, ablates
-(``apply_ablation``), and fits, reads sigma_min and decomposes from that
-one factorization (``_cell``).  beta_star is therefore the same at every
-n_train of a seed, so the bias and variance columns compare along the
-curve.
+Each seed reads its training pool and its test set as views of one array,
+pool rows first (``_environment``), and fits the ideal model beta_star once,
+on that whole array; every cell of the seed takes its first n_train pool
+rows, factors them with one SVD, ablates (``apply_ablation``), and fits,
+reads sigma_min and decomposes from that one factorization (``_cell``).
+beta_star is therefore the same at every n_train of a seed, so the bias and
+variance columns compare along the curve.
 
 Three ablations switch off one spike ingredient each:
 
@@ -58,13 +58,11 @@ import numpy as np
 
 from .data import (
     Dataset,
-    SplitSpec,
     _legendre_matrix,
     load_csv,
     make_polynomial_dataset,
     make_student_teacher,
     polynomial_target,
-    split,
 )
 from .decomposition import (
     GroundTruth,
@@ -326,6 +324,8 @@ def _prepare(config: SweepConfig) -> _Plan:
         csv_ds = load_csv(config.source[4:], config.target_column, config.standardize)
         d = csv_ds.n_cols
         pool_rows = _csv_pool_rows(csv_ds.n_rows)
+        if pool_rows == csv_ds.n_rows:
+            raise ConfigError(f"{csv_ds.source[4:]}: {csv_ds.n_rows} rows leave no test row")
         grid = config.grid if config.grid is not None else default_real_grid(pool_rows)
     elif config.source == "student-teacher":
         if config.d is None or config.d < 1:
@@ -345,22 +345,23 @@ def _prepare(config: SweepConfig) -> _Plan:
     return plan
 
 
-def _environment(plan: _Plan, seed: int) -> tuple[Dataset, Dataset]:
-    """The training pool and the held-out test set for one seed.
+def _environment(plan: _Plan, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One seed's rows and targets, pool first and test set after, and the
+    pool's row count.
 
-    Synthetic: one draw of pool + test rows, test at the end, no shuffle
-    (rows are exchangeable).  Real: seed-controlled shuffle, last 20% held
-    out.  Either way the test set is fixed across every n_train cell of a
-    seed and training sets are nested, so curves differ only in how much
-    training data they saw.
+    Synthetic: one draw of pool + test rows, as drawn (rows are
+    exchangeable).  Real: the file's rows in ``default_rng(seed).permutation``
+    order, one copy, the last 20% held out.  Either way the test set is fixed
+    across every n_train cell of a seed and training sets are nested, so
+    curves differ only in how much training data they saw.
     """
     if plan.csv_ds is None:
         ds, _ = make_student_teacher(
             plan.grid[-1] + N_TEST_SYNTHETIC, plan.d, plan.config.noise_sd, seed
         )
-        return split(ds, SplitSpec(n_train=plan.grid[-1], seed=seed, shuffle=False))
-    n_pool = _csv_pool_rows(plan.csv_ds.n_rows)
-    return split(plan.csv_ds, SplitSpec(n_train=n_pool, seed=seed, shuffle=True))
+        return ds.X, ds.Y, plan.grid[-1]
+    order = np.random.default_rng(seed).permutation(plan.csv_ds.n_rows)
+    return plan.csv_ds.X[order], plan.csv_ds.Y[order], _csv_pool_rows(plan.csv_ds.n_rows)
 
 
 def _csv_pool_rows(n_rows: int) -> int:
@@ -386,7 +387,7 @@ def _median_sigma_max(plan: _Plan) -> float:
     fitting = sum(n <= pool_rows for n in plan.grid) * len(plan.config.seeds)
 
     def tops(seed):
-        x = _environment(plan, seed)[0].X
+        x = _environment(plan, seed)[0]
         for n in plan.grid:
             if n > pool_rows:
                 return
@@ -452,27 +453,27 @@ def _cell(
     )
 
 
-def _seed_state(plan: _Plan, seed: int) -> tuple[Dataset, Dataset, np.ndarray]:
-    """One seed's training pool and test set, and beta_star fit once on both.
-    Under linearized-targets both sets come back with X beta_star as targets."""
-    pool, test = _environment(plan, seed)
-    beta_star = make_ground_truth(
-        np.vstack([pool.X, test.X]), np.concatenate([pool.Y, test.Y]), pool.X, pool.Y
-    ).beta_star
+def _seed_state(plan: _Plan, seed: int):
+    """One seed's pool rows and targets and test rows and targets, as views
+    of its ``_environment`` array, and beta_star fit once on that whole
+    array.  Under linearized-targets both target views are replaced by
+    X beta_star."""
+    x, y, n_pool = _environment(plan, seed)
+    x_pool, y_pool, x_test, y_test = x[:n_pool], y[:n_pool], x[n_pool:], y[n_pool:]
+    beta_star = make_ground_truth(x, y, x_pool, y_pool).beta_star
     if plan.ablation.kind == "linearized-targets":
-        pool = replace(pool, Y=pool.X @ beta_star)
-        test = replace(test, Y=test.X @ beta_star)
-    return pool, test, beta_star
+        y_pool, y_test = x_pool @ beta_star, x_test @ beta_star
+    return x_pool, y_pool, x_test, y_test, beta_star
 
 
 def _linear_cell(plan: _Plan, state, n_train: int, seed: int) -> SweepRecord:
-    pool, test, beta_star = state
-    if n_train > pool.n_rows:
+    x_pool, y_pool, x_test, y_test, beta_star = state
+    if n_train > x_pool.shape[0]:
         raise ConfigError(
-            f"n_train={n_train} exceeds the {pool.n_rows}-row training pool"
+            f"n_train={n_train} exceeds the {x_pool.shape[0]}-row training pool"
         )
-    x, y = pool.X[:n_train], pool.Y[:n_train]
-    s, x_eval = apply_ablation(plan.ablation, svd(x), test.X)
+    x, y = x_pool[:n_train], y_pool[:n_train]
+    s, x_eval = apply_ablation(plan.ablation, svd(x), x_test)
     gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
     policy = plan.config.estimator
     return SweepRecord(
@@ -481,7 +482,7 @@ def _linear_cell(plan: _Plan, state, n_train: int, seed: int) -> SweepRecord:
         seed=seed,
         ablation=plan.ablation.label(),
         estimator=policy.label(),
-        **_cell(x, y, x_eval, test.Y, s, gt, policy),
+        **_cell(x, y, x_eval, y_test, s, gt, policy),
     )
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from descent_lab.cli import (
     config_hash,
     main,
     write_records_csv,
+    _panel_degrees,
     _parse_grid,
     _parse_seeds,
 )
@@ -460,6 +462,26 @@ def test_polyfit_end_to_end(tmp_path):
         "--seeds", "0:1", "--out", str(out2),
     ])
     assert (out / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
+
+def test_the_curve_panel_draws_only_swept_p(tmp_path):
+    # n // 3 = 10 and n = 30 lie past a 1:5 grid, so every pick falls back to
+    # its largest grid value, and the panel draws the one swept P = 5.
+    out = tmp_path / "poly"
+    assert main(["polyfit", "--n", "30", "--p-grid", "1:5", "--seeds", "0",
+                 "--out", str(out)]) == 0
+    assert re.findall(r"fit, P = (\d+)", (out / "fitted-curves.svg").read_text()) == ["5"]
+
+
+@pytest.mark.parametrize("n, p_grid, degrees", [
+    (30, list(range(1, 201)), [10, 30, 200]),  # the documented command
+    (8, list(range(2, 17, 2)), [2, 8, 16]),
+    (700, [1, 51, 101, 151], [151]),
+    (30, [12, 40], [12, 40]),  # no grid value at or below n // 3: the smallest
+    (1_000_000, [1, 2, 3, 4, 5], [5]),
+])
+def test_panel_degrees_come_from_the_grid(n, p_grid, degrees):
+    assert _panel_degrees(n, p_grid) == degrees
 
 
 def test_polyfit_records_ignore_the_blas_thread_count(tmp_path):

@@ -5,16 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from descent_lab.data import (
-    Dataset,
-    SplitSpec,
     legendre_features,
     load_csv,
     make_polynomial_dataset,
     make_student_teacher,
     polynomial_target,
-    split,
 )
-from descent_lab.errors import ConfigError, DataError, DomainError
+from descent_lab.errors import DataError, DomainError
 from descent_lab.linalg import pseudoinverse_apply
 
 DIABETES = Path(__file__).resolve().parent.parent / "data" / "diabetes.csv"
@@ -206,43 +203,3 @@ def test_diabetes_file_shape():
     assert ds.n_rows == 442
     assert ds.n_cols == 10
     assert ds.feature_names[:3] == ["age", "sex", "bmi"]
-
-
-def test_split_is_disjoint_and_exhaustive():
-    ds, _ = make_student_teacher(20, 3, 0.1, seed=0)
-    tr, te = split(ds, SplitSpec(n_train=19, seed=1))
-    assert tr.n_rows == 19 and te.n_rows == 1
-    stacked = np.vstack([tr.X, te.X])
-    assert_allclose(np.sort(stacked, axis=0), np.sort(ds.X, axis=0))
-
-
-def test_split_without_shuffle_takes_a_prefix():
-    ds, _ = make_student_teacher(10, 2, 0.0, seed=0)
-    tr, te = split(ds, SplitSpec(n_train=4, seed=99, shuffle=False))
-    assert (tr.X == ds.X[:4]).all()
-    assert (te.X == ds.X[4:]).all()
-
-
-def test_split_same_seed_same_partition():
-    ds, _ = make_student_teacher(30, 3, 0.2, seed=0)
-    a = split(ds, SplitSpec(n_train=12, seed=7))
-    b = split(ds, SplitSpec(n_train=12, seed=7))
-    assert (a[0].X == b[0].X).all() and (a[1].Y == b[1].Y).all()
-
-
-def test_split_rejects_out_of_range_sizes():
-    ds, _ = make_student_teacher(5, 2, 0.0, seed=0)
-    with pytest.raises(ConfigError):
-        split(ds, SplitSpec(n_train=0, seed=0))
-    with pytest.raises(ConfigError):
-        split(ds, SplitSpec(n_train=5, seed=0))
-
-
-def test_split_preserves_metadata():
-    ds, _ = make_student_teacher(8, 2, 0.0, seed=3)
-    train, test = split(ds, SplitSpec(n_train=3, seed=5, shuffle=False))
-    for part, rows in ((train, slice(0, 3)), (test, slice(3, 8))):
-        assert (part.X == ds.X[rows]).all() and (part.Y == ds.Y[rows]).all()
-        assert part.source == ds.source and part.seed == ds.seed
-        assert part.feature_names == ds.feature_names
-        assert part.preprocessing is ds.preprocessing

@@ -106,9 +106,9 @@ def test_projection_onto_full_rowspace_changes_nothing_visible():
 
 def test_linearized_targets_leave_no_residuals():
     plan = experiments._prepare(small_config(ablation=AblationKind("linearized-targets")))
-    pool, test, _ = experiments._seed_state(plan, 2)
+    x_pool, y_pool, x_test, y_test, _ = experiments._seed_state(plan, 2)
     gt = make_ground_truth(
-        np.vstack([pool.X, test.X]), np.concatenate([pool.Y, test.Y]), pool.X, pool.Y
+        np.vstack([x_pool, x_test]), np.concatenate([y_pool, y_test]), x_pool, y_pool
     )
     assert np.abs(gt.residuals).max() <= 1e-8
 
@@ -329,6 +329,59 @@ def test_polynomial_cells_read_views_of_one_evaluation_block(monkeypatch):
     assert np.array_equal(stack[10:, 40], polynomial_target(xs))
 
 
+@pytest.mark.parametrize("config", [
+    small_config(seeds=[3]),
+    SweepConfig(**DIABETES, seeds=[3]),
+], ids=["synthetic", "csv"])
+def test_linear_seed_state_reads_views_of_one_array(monkeypatch, config):
+    # beta_star is fit on one array of the seed's rows, pool first; the pool
+    # and test rows and targets the cells read are views of it, not copies.
+    fits = []
+    truth = experiments.make_ground_truth
+
+    def recording(x_full, y_full, *args):
+        fits.append((x_full, y_full))
+        return truth(x_full, y_full, *args)
+
+    monkeypatch.setattr(experiments, "make_ground_truth", recording)
+    plan = experiments._prepare(config)
+    x_pool, y_pool, x_test, y_test, _ = experiments._seed_state(plan, 3)
+    [(x, y)] = fits
+    for part, whole in ((x_pool, x), (x_test, x), (y_pool, y), (y_test, y)):
+        assert np.shares_memory(part, whole)
+    assert np.array_equal(np.vstack([x_pool, x_test]), x)
+    assert np.array_equal(np.concatenate([y_pool, y_test]), y)
+    if plan.csv_ds is None:
+        # the draw as drawn: the pool is its first grid[-1] rows
+        ds, _ = make_student_teacher(24 + experiments.N_TEST_SYNTHETIC, 8, 0.25, 3)
+        assert x_pool.shape[0] == 24
+        assert np.array_equal(x, ds.X) and np.array_equal(y, ds.Y)
+
+
+def test_a_csv_seed_reads_the_file_rows_in_permutation_order():
+    # The file's rows in default_rng(seed).permutation order, the last 20%
+    # (88 of 442 rows) held out as the test set.
+    plan = experiments._prepare(SweepConfig(**DIABETES, seeds=[5], standardize=False))
+    ds = load_csv(DIABETES["source"][4:], "target", standardize=False)
+    order = np.random.default_rng(5).permutation(442)
+    x_pool, y_pool, x_test, y_test, _ = experiments._seed_state(plan, 5)
+    assert x_pool.shape == (354, 10) and x_test.shape == (88, 10)
+    assert np.array_equal(x_pool, ds.X[order[:354]]) and np.array_equal(y_pool, ds.Y[order[:354]])
+    assert np.array_equal(x_test, ds.X[order[354:]]) and np.array_equal(y_test, ds.Y[order[354:]])
+    other = experiments._seed_state(plan, 6)[0]
+    assert not np.array_equal(other, x_pool)
+
+
+def test_a_csv_too_small_to_hold_out_a_test_row_is_a_config_error(tmp_path):
+    # 2 rows: 20% rounds to no test row, so no cell could measure a test error.
+    path = tmp_path / "tiny.csv"
+    path.write_text("a,b,t\n1,2,3\n4,7,5\n", encoding="utf-8")
+    config = SweepConfig(source=f"csv:{path}", target_column="t", d=None, grid=[1],
+                         seeds=[0], allow_narrow_grid=True)
+    with pytest.raises(ConfigError, match="2 rows leave no test row"):
+        run_sweep(config)
+
+
 def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
     stacks = _record_stacks(monkeypatch)
     out = run_polynomial_sweep([12, 3, 7, 7, 1], n=6, seeds=[0, 1, 2, 3], noise_sd=0.3)
@@ -439,11 +492,11 @@ def test_headline_test_mse_is_the_decomposed_error(variant):
     assert not out.failures and len(out.records) == 2 * 95
     states = {seed: experiments._seed_state(plan, seed) for seed in (0, 1)}
     for r in out.records:
-        pool, test, beta_star = states[r.seed]
-        x, y = pool.X[:r.n_train], pool.Y[:r.n_train]
-        s, x_eval = apply_ablation(plan.ablation, svd(x), test.X)
+        x_pool, y_pool, x_test, y_test, beta_star = states[r.seed]
+        x, y = x_pool[:r.n_train], y_pool[:r.n_train]
+        s, x_eval = apply_ablation(plan.ablation, svd(x), x_test)
         gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
-        _assert_test_mse_is_the_decomposed_error(r, x_eval, test.Y, x, y, s, gt,
+        _assert_test_mse_is_the_decomposed_error(r, x_eval, y_test, x, y, s, gt,
                                                  cfg.estimator.lam_for(s))
 
 
