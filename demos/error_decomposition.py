@@ -19,13 +19,13 @@ from descent_lab import (
 
 N_TRAIN, D, NOISE, SEED = 12, 20, 0.3, 1
 
-ds, teacher = make_student_teacher(N_TRAIN + 50, D, NOISE, SEED)
-x_train, y_train = ds.X[:N_TRAIN], ds.Y[:N_TRAIN]
-gt = make_ground_truth(ds.X, ds.Y, x_train, y_train)
+x, y, teacher = make_student_teacher(N_TRAIN + 50, D, NOISE, SEED)
+x_train, y_train = x[:N_TRAIN], y[:N_TRAIN]
+gt = make_ground_truth(x, y, x_train, y_train)
 s = svd(x_train)
 fit = fit_pinv(x_train, y_train)
 
-x_test = ds.X[-1]
+x_test = x[-1]
 dec = decompose_test_error(x_test, x_train, y_train, s, gt)
 
 print(f"shape {N_TRAIN} x {D}: {regime_of(N_TRAIN, D)}, rank {s.rank}")

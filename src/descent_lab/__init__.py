@@ -26,9 +26,7 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .data import (
-    Dataset,
     Preprocessing,
-    legendre_features,
     load_csv,
     make_polynomial_dataset,
     make_student_teacher,
@@ -101,7 +99,6 @@ __all__ = [
     "CellFailure",
     "ConfigError",
     "DataError",
-    "Dataset",
     "DecompositionMismatchError",
     "DescentLabError",
     "DimensionMismatchError",
@@ -134,7 +131,6 @@ __all__ = [
     "fit_ols_under",
     "fit_pinv",
     "fit_ridge",
-    "legendre_features",
     "load_csv",
     "make_ground_truth",
     "make_polynomial_dataset",

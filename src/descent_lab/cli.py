@@ -288,13 +288,13 @@ def _write_curve_panel(path: Path, n: int, p_grid: list[int], seed: int, noise_s
     styles = ["line"]
     degrees = _panel_degrees(n, p_grid)
     # Legendre columns nest, so the first p columns are the P = p draw.
-    ds = make_polynomial_dataset(n, max(degrees), noise_sd, seed)
+    x, y = make_polynomial_dataset(n, max(degrees), noise_sd, seed)
     for p in degrees:
-        fit = fit_pinv(ds.X[:, :p], ds.Y)
+        fit = fit_pinv(x[:, :p], y)
         series.append((xs, _legendre_matrix(xs, p) @ fit.beta))
         labels.append(f"fit, P = {p}")
         styles.append("line")
-    series.append((ds.X[:, 0], ds.Y))
+    series.append((x[:, 0], y))
     labels.append("training points")
     styles.append("points")
     svg = render_line_svg(

@@ -1,4 +1,4 @@
-"""Every dataset the experiments consume.
+"""Every dataset the experiments consume, as plain arrays.
 
 Three sources:
 
@@ -9,8 +9,11 @@ Three sources:
 * CSV ingestion for real tabular data, with row dropping for missing values
   and optional per-column standardization.
 
+Each returns plain arrays: the feature matrix and the targets, then the
+teacher or the csv's ``Preprocessing`` where there is one.
+
 All generators are pure functions of their parameters and a seed (PCG64 via
-``numpy.random.default_rng``), so identical calls give identical datasets on
+``numpy.random.default_rng``), so identical calls give identical arrays on
 every platform.  A sweep reads each seed's training pool and test set as
 views of one array of a dataset's rows (``experiments._environment``).
 """
@@ -18,16 +21,15 @@ views of one array of a dataset's rows (``experiments._environment``).
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, DomainError
-
-SOURCE_STUDENT_TEACHER = "synthetic-student-teacher"
-SOURCE_POLYNOMIAL = "polynomial"
 
 # A column whose population sd is this small (relative to its scale) carries
 # no information and cannot be standardized; it is dropped and recorded.
@@ -36,47 +38,12 @@ CONSTANT_COLUMN_TOL = 1e-12
 
 @dataclass
 class Preprocessing:
-    """What happened to the raw columns on the way in."""
+    """The bytes a csv load parsed, and what it dropped on the way in."""
 
-    standardized: bool = False
-    column_means: np.ndarray | None = None
-    column_scales: np.ndarray | None = None
-    rows_dropped_for_missing: int = 0
-    constant_columns_dropped: list[str] = field(default_factory=list)
-    non_numeric_columns_dropped: list[str] = field(default_factory=list)
-
-
-@dataclass
-class Dataset:
-    """A feature matrix, its targets, and where they came from."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    feature_names: list[str]
-    source: str
-    preprocessing: Preprocessing = field(default_factory=Preprocessing)
-    seed: int | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.X.shape[1]
-
-
-def legendre_features(x: float, p: int) -> np.ndarray:
-    """Evaluate (P_1(x), ..., P_p(x)) by the Bonnet three-term recurrence.
-
-    Component i is the degree-i Legendre polynomial; there is no degree-0
-    constant component, so a one-feature model is a line through the origin.
-    """
-    if p < 1:
-        raise DomainError(f"need at least one polynomial degree, got {p}")
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"Legendre features are defined on [-1, 1], got {x}")
-    return _legendre_matrix(np.array([float(x)]), p)[0]
+    data_sha256: str
+    rows_dropped_for_missing: int
+    constant_columns_dropped: list[str]
+    non_numeric_columns_dropped: list[str]
 
 
 def _legendre_matrix(xs: np.ndarray, p: int) -> np.ndarray:
@@ -97,11 +64,14 @@ def polynomial_target(x):
     return 2.0 * x + np.cos(25.0 * x)
 
 
-def make_polynomial_dataset(n: int, p: int, noise_sd: float, seed: int) -> Dataset:
+def make_polynomial_dataset(
+    n: int, p: int, noise_sd: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample x uniformly on [-1, 1], featurize with degrees 1..p, add noise.
 
-    The raw x values are recoverable as the first feature column (degree 1 is
-    the identity), which the plotting code relies on.
+    Returns the n x p feature matrix and the n targets.  The raw x values
+    are recoverable as the first feature column (degree 1 is the identity),
+    which the plotting code relies on.
     """
     if n < 1:
         raise DomainError(f"need at least one sample, got {n}")
@@ -109,24 +79,17 @@ def make_polynomial_dataset(n: int, p: int, noise_sd: float, seed: int) -> Datas
         raise DomainError(f"need at least one polynomial degree, got {p}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, n)
-    x_mat = _legendre_matrix(xs, p)
-    y = polynomial_target(xs) + noise_sd * rng.standard_normal(n)
-    return Dataset(
-        X=x_mat,
-        Y=y,
-        feature_names=[f"legendre_{k}" for k in range(1, p + 1)],
-        source=SOURCE_POLYNOMIAL,
-        seed=seed,
-    )
+    return _legendre_matrix(xs, p), polynomial_target(xs) + noise_sd * rng.standard_normal(n)
 
 
 def make_student_teacher(
     n_total: int, d: int, noise_sd: float, seed: int
-) -> tuple[Dataset, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gaussian features, targets from a unit-norm Gaussian teacher plus noise.
 
-    Returns the dataset and the teacher vector (handy for diagnostics; the
-    experiments themselves re-estimate the ideal parameters from data).
+    Returns the n_total x d feature matrix, the targets and the teacher
+    vector (handy for diagnostics; the experiments themselves re-estimate
+    the ideal parameters from data).
     """
     if n_total < 2:
         raise DomainError(f"need at least two rows, got {n_total}")
@@ -136,17 +99,7 @@ def make_student_teacher(
     teacher = rng.standard_normal(d)
     teacher /= np.linalg.norm(teacher)
     x = rng.standard_normal((n_total, d))
-    y = x @ teacher + noise_sd * rng.standard_normal(n_total)
-    return (
-        Dataset(
-            X=x,
-            Y=y,
-            feature_names=[f"f{j}" for j in range(d)],
-            source=SOURCE_STUDENT_TEACHER,
-            seed=seed,
-        ),
-        teacher,
-    )
+    return x, x @ teacher + noise_sd * rng.standard_normal(n_total), teacher
 
 
 def _parse_cell(text: str) -> float | None:
@@ -156,21 +109,34 @@ def _parse_cell(text: str) -> float | None:
     return float(text)
 
 
-def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
-    """Load a headered CSV into a Dataset.
+def load_csv(
+    path, target_column: str, standardize: bool = False
+) -> tuple[np.ndarray, np.ndarray, Preprocessing]:
+    """Load a headered CSV: the feature matrix, the targets, and a
+    ``Preprocessing`` with the SHA-256 of the bytes parsed and what was
+    dropped.
 
+    The file is read once, and the digest is of exactly the bytes parsed.
     Non-numeric columns are dropped (and recorded); rows with any missing
     value (an empty field) among the remaining columns are dropped and
     counted; features are optionally standardized to mean 0, population sd 1.
-    The target column is never standardized.  A nan, inf or overflowing
-    number in a kept column raises ``DataError``, and so does a feature
-    column whose mean or sd overflows when standardizing.
+    The target column is never standardized.  A missing file raises
+    ``FileNotFoundError``; a path that cannot be read (a directory, say) or
+    is not UTF-8 text raises ``DataError``, and so does a nan, inf or
+    overflowing number in a kept column, or a feature column whose mean or
+    sd overflows when standardizing.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise DataError(f"{path} is empty")
     header, body = rows[0], rows[1:]
@@ -220,11 +186,10 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
 
     arr = np.array(kept_rows, dtype=np.float64)
     x, y = arr[:, :-1], arr[:, -1]
-    names = [header[j] for j in feature_idx]
-    prep = Preprocessing(non_numeric_columns_dropped=dropped_non_numeric,
-                         rows_dropped_for_missing=dropped)
+    constant: list[str] = []
 
     if standardize:
+        names = [header[j] for j in feature_idx]
         with np.errstate(over="ignore", invalid="ignore"):
             means = x.mean(axis=0)
             scales = x.std(axis=0)  # population (1/N) standard deviation
@@ -235,15 +200,14 @@ def load_csv(path, target_column: str, standardize: bool = False) -> Dataset:
                     f"(mean {mean}, sd {scale})"
                 )
         keep = scales > CONSTANT_COLUMN_TOL * np.maximum(1.0, np.abs(means))
-        prep.constant_columns_dropped = [n for n, k in zip(names, keep) if not k]
-        x = (x[:, keep] - means[keep]) / scales[keep]
-        names = [n for n, k in zip(names, keep) if k]
-        if not names:
+        if not keep.any():
             raise DataError(f"{path}: nothing left after cleaning")
-        prep.standardized = True
-        prep.column_means = means[keep]
-        prep.column_scales = scales[keep]
+        constant = [n for n, k in zip(names, keep) if not k]
+        x = (x[:, keep] - means[keep]) / scales[keep]
 
-    return Dataset(X=x, Y=y, feature_names=names, source=f"csv:{path}",
-                   preprocessing=prep)
-
+    return x, y, Preprocessing(
+        data_sha256=hashlib.sha256(data).hexdigest(),
+        rows_dropped_for_missing=dropped,
+        constant_columns_dropped=constant,
+        non_numeric_columns_dropped=dropped_non_numeric,
+    )

@@ -47,7 +47,6 @@ thread (``linalg.one_blas_thread``).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field, replace
@@ -57,7 +56,7 @@ from itertools import islice
 import numpy as np
 
 from .data import (
-    Dataset,
+    Preprocessing,
     _legendre_matrix,
     load_csv,
     make_polynomial_dataset,
@@ -293,11 +292,15 @@ def worker_count() -> int:
 @dataclass
 class _Plan:
     """A SweepConfig with everything resolved: data loaded, grid and cutoff
-    pinned.  Cells read from it but never write."""
+    pinned.  Cells read from it but never write.  ``csv`` is ``load_csv``'s
+    result for a csv source, None for synthetic data; ``pool_rows`` is the
+    size of each seed's training pool (the grid's last point for synthetic
+    data, all but the held-out 20% of a csv's rows)."""
 
     config: SweepConfig
-    csv_ds: Dataset | None
+    csv: tuple[np.ndarray, np.ndarray, Preprocessing] | None
     d: int
+    pool_rows: int
     grid: list[int]
     ablation: AblationKind
 
@@ -321,33 +324,36 @@ def _prepare(config: SweepConfig) -> _Plan:
     if config.source.startswith("csv:"):
         if not config.target_column:
             raise ConfigError("csv datasets need a target column")
-        csv_ds = load_csv(config.source[4:], config.target_column, config.standardize)
-        d = csv_ds.n_cols
-        pool_rows = _csv_pool_rows(csv_ds.n_rows)
-        if pool_rows == csv_ds.n_rows:
-            raise ConfigError(f"{csv_ds.source[4:]}: {csv_ds.n_rows} rows leave no test row")
+        csv = load_csv(config.source[4:], config.target_column, config.standardize)
+        n_rows, d = csv[0].shape
+        pool_rows = n_rows - int(round(HOLDOUT_FRACTION * n_rows))
+        if pool_rows == n_rows:
+            raise ConfigError(f"{config.source[4:]}: {n_rows} rows leave no test row")
         grid = config.grid if config.grid is not None else default_real_grid(pool_rows)
     elif config.source == "student-teacher":
         if config.d is None or config.d < 1:
             raise ConfigError("student-teacher data needs a positive feature count d")
-        csv_ds = None
+        csv = None
         d = config.d
         grid = config.grid if config.grid is not None else default_synthetic_grid(d)
     else:
         raise ConfigError(f"unknown dataset source {config.source!r}")
     grid = [int(n) for n in grid]
     _validate_grid(grid, d, config.allow_narrow_grid)
+    if csv is None:
+        pool_rows = grid[-1]
 
-    plan = _Plan(config=config, csv_ds=csv_ds, d=d, grid=grid, ablation=config.ablation)
+    plan = _Plan(config=config, csv=csv, d=d, pool_rows=pool_rows, grid=grid,
+                 ablation=config.ablation)
     if config.ablation.needs_tau:
         tau = SV_CUTOFF_COEFF * _median_sigma_max(plan)
         plan.ablation = replace(config.ablation, tau=tau)
     return plan
 
 
-def _environment(plan: _Plan, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """One seed's rows and targets, pool first and test set after, and the
-    pool's row count.
+def _environment(plan: _Plan, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One seed's rows and targets, the ``plan.pool_rows`` pool rows first
+    and the test set after.
 
     Synthetic: one draw of pool + test rows, as drawn (rows are
     exchangeable).  Real: the file's rows in ``default_rng(seed).permutation``
@@ -355,18 +361,14 @@ def _environment(plan: _Plan, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
     across every n_train cell of a seed and training sets are nested, so
     curves differ only in how much training data they saw.
     """
-    if plan.csv_ds is None:
-        ds, _ = make_student_teacher(
-            plan.grid[-1] + N_TEST_SYNTHETIC, plan.d, plan.config.noise_sd, seed
+    if plan.csv is None:
+        x, y, _ = make_student_teacher(
+            plan.pool_rows + N_TEST_SYNTHETIC, plan.d, plan.config.noise_sd, seed
         )
-        return ds.X, ds.Y, plan.grid[-1]
-    order = np.random.default_rng(seed).permutation(plan.csv_ds.n_rows)
-    return plan.csv_ds.X[order], plan.csv_ds.Y[order], _csv_pool_rows(plan.csv_ds.n_rows)
-
-
-def _csv_pool_rows(n_rows: int) -> int:
-    """Training-pool rows of a real dataset: all but the held-out 20%."""
-    return n_rows - int(round(HOLDOUT_FRACTION * n_rows))
+        return x, y
+    x, y, _ = plan.csv
+    order = np.random.default_rng(seed).permutation(x.shape[0])
+    return x[order], y[order]
 
 
 def _median_sigma_max(plan: _Plan) -> float:
@@ -383,13 +385,12 @@ def _median_sigma_max(plan: _Plan) -> float:
     order; two prefixes whose sigma_max agree to within rounding (say, after
     an appended zero row) can move the median by that rounding.
     """
-    pool_rows = plan.grid[-1] if plan.csv_ds is None else _csv_pool_rows(plan.csv_ds.n_rows)
-    fitting = sum(n <= pool_rows for n in plan.grid) * len(plan.config.seeds)
+    fitting = sum(n <= plan.pool_rows for n in plan.grid) * len(plan.config.seeds)
 
     def tops(seed):
         x = _environment(plan, seed)[0]
         for n in plan.grid:
-            if n > pool_rows:
+            if n > plan.pool_rows:
                 return
             yield np.linalg.svd(x[:n], compute_uv=False)[0]
 
@@ -458,7 +459,8 @@ def _seed_state(plan: _Plan, seed: int):
     of its ``_environment`` array, and beta_star fit once on that whole
     array.  Under linearized-targets both target views are replaced by
     X beta_star."""
-    x, y, n_pool = _environment(plan, seed)
+    x, y = _environment(plan, seed)
+    n_pool = plan.pool_rows
     x_pool, y_pool, x_test, y_test = x[:n_pool], y[:n_pool], x[n_pool:], y[n_pool:]
     beta_star = make_ground_truth(x, y, x_pool, y_pool).beta_star
     if plan.ablation.kind == "linearized-targets":
@@ -543,25 +545,24 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
     file's bytes in place of its path, the target column and
     standardization), d, the grid, the seeds, the ablation label and its
     cutoff tau, the estimator label, and the BLAS thread count.  A csv
-    sweep also fills ``data`` from the dataset's ``Preprocessing``.
+    sweep also fills ``data`` from the dataset's ``Preprocessing``.  The
+    csv's digest is of the bytes ``load_csv`` parsed, before any cell ran.
     """
     plan = _prepare(config)
     outcome = _run_seeded(
         plan.grid, config.seeds, partial(_seed_state, plan), partial(_linear_cell, plan)
     )
-    if plan.csv_ds is None:
+    if plan.csv is None:
         source = {"source": config.source, "d": plan.d, "noise_sd": config.noise_sd}
     else:
-        with open(config.source[4:], "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        prep = plan.csv[2]
         source = {
             "source": "csv",
-            "data_sha256": digest,
+            "data_sha256": prep.data_sha256,
             "target_column": config.target_column,
             "standardize": config.standardize,
             "d": plan.d,
         }
-        prep = plan.csv_ds.preprocessing
         outcome.data = {
             "rows_dropped_for_missing": prep.rows_dropped_for_missing,
             "constant_columns_dropped": prep.constant_columns_dropped,
@@ -618,20 +619,20 @@ def run_polynomial_sweep(
     xe_max[...] = _legendre_matrix(xs, p_max)
     ye[...] = polynomial_target(xs)
 
-    def build(seed: int) -> tuple[Dataset, NestedGroundTruth]:
-        ds = make_polynomial_dataset(n, p_max, noise_sd, seed)
-        stack[:n, :p_max], stack[:n, p_max] = ds.X, ds.Y
-        return ds, factor_nested_ground_truth(stack)
+    def build(seed: int) -> tuple[np.ndarray, np.ndarray, NestedGroundTruth]:
+        x, y = make_polynomial_dataset(n, p_max, noise_sd, seed)
+        stack[:n, :p_max], stack[:n, p_max] = x, y
+        return x, y, factor_nested_ground_truth(stack)
 
     pinv = EstimatorPolicy()
 
     def cell(state, p: int, seed: int) -> SweepRecord:
-        ds, truth = state
-        x, xe = ds.X[:, :p], xe_max[:, :p]
-        gt = make_nested_ground_truth(truth, x, ds.Y)
+        x_max, y, truth = state
+        x, xe = x_max[:, :p], xe_max[:, :p]
+        gt = make_nested_ground_truth(truth, x, y)
         return SweepRecord(
             n_train=n, d=p, seed=seed, ablation="none", estimator=pinv.label(),
-            **_cell(x, ds.Y, xe, ye, svd(x), gt, pinv),
+            **_cell(x, y, xe, ye, svd(x), gt, pinv),
         )
 
     p_grid = [int(p) for p in p_grid]

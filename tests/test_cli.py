@@ -436,6 +436,21 @@ def test_missing_dataset_exits_1(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"a,y\n\xff\xfe,1\n"], ids=["directory", "not-utf-8"])
+def test_an_unreadable_csv_exits_1_with_one_line(tmp_path, capsys, content):
+    path = tmp_path / "data"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = main(["sweep", "--dataset", f"csv:{path}", "--target-col", "y",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"descent-lab: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_polyfit_end_to_end(tmp_path):
     out = tmp_path / "poly"
     code = main([
@@ -533,18 +548,18 @@ def test_polyfit_records_match_the_per_cell_computation(tmp_path):
     records = []
     with linalg.one_blas_thread():
         for seed in (0, 1):
-            ds = make_polynomial_dataset(30, 200, 0.5, seed)
+            x_max, y = make_polynomial_dataset(30, 200, 0.5, seed)
             truth = factor_nested_ground_truth(
-                np.column_stack([np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])])
+                np.column_stack([np.vstack([x_max, xe_max]), np.concatenate([y, ye])])
             )
             for p in range(1, 201):
-                x = np.ascontiguousarray(ds.X[:, :p])
+                x = np.ascontiguousarray(x_max[:, :p])
                 xe = np.ascontiguousarray(xe_max[:, :p])
                 s = svd(x)
-                fit = fit_pinv(x, ds.Y, s=s)
+                fit = fit_pinv(x, y, s=s)
                 resid = xe @ fit.beta - ye
-                gt = make_nested_ground_truth(truth, x, ds.Y)
-                bias, var, _ = decompose_test_errors(xe, x, ds.Y, s, gt)
+                gt = make_nested_ground_truth(truth, x, y)
+                bias, var, _ = decompose_test_errors(xe, x, y, s, gt)
                 records.append(SweepRecord(
                     n_train=30, d=p, seed=seed, ablation="none", estimator="pinv",
                     train_mse=fit.train_mse, test_mse=float(resid @ resid / 1000),

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from descent_lab.data import (
-    legendre_features,
+    Preprocessing,
+    _legendre_matrix,
     load_csv,
     make_polynomial_dataset,
     make_student_teacher,
@@ -30,27 +32,18 @@ def closed_form_legendre(x):
 
 
 def test_legendre_recurrence_matches_closed_forms():
-    for x in np.linspace(-1.0, 1.0, 100):
-        assert_allclose(legendre_features(float(x), 5), closed_form_legendre(x), atol=1e-12)
+    xs = np.linspace(-1.0, 1.0, 100)
+    assert_allclose(_legendre_matrix(xs, 5), closed_form_legendre(xs).T, atol=1e-12)
 
 
 def test_legendre_at_the_right_endpoint():
-    assert_allclose(legendre_features(1.0, 7), np.ones(7), atol=1e-12)
+    assert_allclose(_legendre_matrix(np.array([1.0]), 7), np.ones((1, 7)), atol=1e-12)
 
 
 def test_legendre_at_zero():
     # odd degrees vanish at the origin; P_2(0) = -1/2
-    assert_allclose(legendre_features(0.0, 3), [0.0, -0.5, 0.0], atol=1e-15)
-    assert_allclose(legendre_features(0.5, 2), [0.5, -0.125], atol=1e-15)
-
-
-def test_legendre_domain_checks():
-    with pytest.raises(DomainError):
-        legendre_features(1.5, 3)
-    with pytest.raises(DomainError):
-        legendre_features(-1.0001, 3)
-    with pytest.raises(DomainError):
-        legendre_features(0.5, 0)
+    assert_allclose(_legendre_matrix(np.array([0.0]), 3), [[0.0, -0.5, 0.0]], atol=1e-15)
+    assert_allclose(_legendre_matrix(np.array([0.5]), 2), [[0.5, -0.125]], atol=1e-15)
 
 
 def test_polynomial_target_values():
@@ -63,19 +56,19 @@ def test_polynomial_target_values():
 
 
 def test_polynomial_dataset_noiseless_targets():
-    ds = make_polynomial_dataset(1, 1, 0.0, seed=0)
-    assert_allclose(ds.Y, polynomial_target(ds.X[:, 0]))
+    x, y = make_polynomial_dataset(1, 1, 0.0, seed=0)
+    assert_allclose(y, polynomial_target(x[:, 0]))
 
 
 def test_polynomial_dataset_shape_and_determinism():
-    a = make_polynomial_dataset(10, 200, 0.5, seed=3)
-    b = make_polynomial_dataset(10, 200, 0.5, seed=3)
-    assert a.X.shape == (10, 200)
-    assert (a.X == b.X).all() and (a.Y == b.Y).all()
-    assert a.feature_names[0] == "legendre_1"
-    # the degree-1 column is x itself
-    assert (np.abs(a.X[:, 0]) <= 1.0).all()
-    assert_allclose(a.X[:, 1], (3 * a.X[:, 0] ** 2 - 1) / 2, atol=1e-12)
+    ax, ay = make_polynomial_dataset(10, 200, 0.5, seed=3)
+    bx, by = make_polynomial_dataset(10, 200, 0.5, seed=3)
+    assert ax.shape == (10, 200) and ay.shape == (10,)
+    assert (ax == bx).all() and (ay == by).all()
+    # the degree-1 column is x itself, and column k holds degree k + 1
+    assert (np.abs(ax[:, 0]) <= 1.0).all()
+    assert_allclose(ax[:, 1], (3 * ax[:, 0] ** 2 - 1) / 2, atol=1e-12)
+    assert (ax == _legendre_matrix(ax[:, 0], 200)).all()
 
 
 def test_polynomial_dataset_validation():
@@ -86,18 +79,19 @@ def test_polynomial_dataset_validation():
 
 
 def test_student_teacher_noiseless_recovery():
-    ds, teacher = make_student_teacher(40, 12, 0.0, seed=5)
+    x, y, teacher = make_student_teacher(40, 12, 0.0, seed=5)
+    assert x.shape == (40, 12) and y.shape == (40,)
     assert np.linalg.norm(teacher) == pytest.approx(1.0)
-    beta = pseudoinverse_apply(ds.X, ds.Y)
+    beta = pseudoinverse_apply(x, y)
     assert_allclose(beta, teacher, atol=1e-8)
 
 
 def test_student_teacher_determinism():
-    a, ta = make_student_teacher(20, 4, 0.3, seed=9)
-    b, tb = make_student_teacher(20, 4, 0.3, seed=9)
-    assert (a.X == b.X).all() and (a.Y == b.Y).all() and (ta == tb).all()
-    c, _ = make_student_teacher(20, 4, 0.3, seed=10)
-    assert not (a.X == c.X).all()
+    ax, ay, ta = make_student_teacher(20, 4, 0.3, seed=9)
+    bx, by, tb = make_student_teacher(20, 4, 0.3, seed=9)
+    assert (ax == bx).all() and (ay == by).all() and (ta == tb).all()
+    cx, _, _ = make_student_teacher(20, 4, 0.3, seed=10)
+    assert not (ax == cx).all()
 
 
 def test_student_teacher_validation():
@@ -115,43 +109,47 @@ def write(tmp_path, text, name="t.csv"):
 
 def test_load_csv_basic(tmp_path):
     p = write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")
-    ds = load_csv(p, "y")
-    assert ds.feature_names == ["a", "b"]
-    assert_allclose(ds.X, [[1.0, 2.0], [4.0, 5.0]])
-    assert_allclose(ds.Y, [3.0, 6.0])
-    assert ds.source == f"csv:{p}"
+    x, y, prep = load_csv(p, "y")
+    assert_allclose(x, [[1.0, 2.0], [4.0, 5.0]])
+    assert_allclose(y, [3.0, 6.0])
+    assert prep == Preprocessing(
+        data_sha256=hashlib.sha256(p.read_bytes()).hexdigest(),
+        rows_dropped_for_missing=0,
+        constant_columns_dropped=[],
+        non_numeric_columns_dropped=[],
+    )
 
 
 def test_load_csv_drops_and_counts_incomplete_rows(tmp_path):
     p = write(tmp_path, "a,b,y\n1,2,3\n4,,6\n7,8,\n9,10,11\n")
-    ds = load_csv(p, "y")
-    assert ds.n_rows == 2
-    assert ds.preprocessing.rows_dropped_for_missing == 2
+    x, y, prep = load_csv(p, "y")
+    assert_allclose(x, [[1.0, 2.0], [9.0, 10.0]])
+    assert_allclose(y, [3.0, 11.0])
+    assert prep.rows_dropped_for_missing == 2
 
 
 def test_load_csv_standardize(tmp_path):
     p = write(tmp_path, "a,b,y\n1,10,100\n2,20,200\n3,30,300\n")
-    ds = load_csv(p, "y", standardize=True)
-    assert_allclose(ds.X.mean(axis=0), [0.0, 0.0], atol=1e-12)
-    assert_allclose(ds.X.std(axis=0), [1.0, 1.0], atol=1e-12)  # population sd
-    assert_allclose(ds.Y, [100.0, 200.0, 300.0])  # target untouched
-    assert ds.preprocessing.standardized
+    x, y, _ = load_csv(p, "y", standardize=True)
+    assert_allclose(x.mean(axis=0), [0.0, 0.0], atol=1e-12)
+    assert_allclose(x.std(axis=0), [1.0, 1.0], atol=1e-12)  # population sd
+    assert_allclose(y, [100.0, 200.0, 300.0])  # target untouched
 
 
 def test_load_csv_drops_non_numeric_columns(tmp_path):
     p = write(tmp_path, "a,label,y\n1,red,3\n2,blue,4\n")
-    ds = load_csv(p, "y")
-    assert ds.feature_names == ["a"]
-    assert ds.preprocessing.non_numeric_columns_dropped == ["label"]
+    x, _, prep = load_csv(p, "y")
+    assert_allclose(x, [[1.0], [2.0]])
+    assert prep.non_numeric_columns_dropped == ["label"]
 
 
 def test_load_csv_drops_constant_column_when_standardizing(tmp_path):
     p = write(tmp_path, "a,c,y\n1,7,3\n2,7,4\n3,7,5\n")
-    ds = load_csv(p, "y", standardize=True)
-    assert ds.feature_names == ["a"]
-    assert ds.preprocessing.constant_columns_dropped == ["c"]
+    x, _, prep = load_csv(p, "y", standardize=True)
+    assert_allclose(x, np.sqrt(1.5) * np.array([[-1.0], [0.0], [1.0]]))
+    assert prep.constant_columns_dropped == ["c"]
     # without standardization the constant column survives
-    assert load_csv(p, "y").feature_names == ["a", "c"]
+    assert_allclose(load_csv(p, "y")[0], [[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
 
 
 def test_load_csv_error_cases(tmp_path):
@@ -163,6 +161,12 @@ def test_load_csv_error_cases(tmp_path):
         load_csv(write(tmp_path, "a,y\n1,maybe\n2,never\n"), "y")  # target not numeric
     with pytest.raises(DataError):
         load_csv(write(tmp_path, "a,y\n,1\n,2\n"), "y")  # nothing survives cleaning
+    with pytest.raises(DataError, match=f"{tmp_path}: cannot read"):
+        load_csv(tmp_path, "y")  # a directory
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"a,y\n\xff\xfe,1\n")
+    with pytest.raises(DataError, match=f"{bad}: not UTF-8"):
+        load_csv(bad, "y")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", " NaN "])
@@ -188,18 +192,19 @@ def test_load_csv_rejects_a_column_too_large_to_standardize(tmp_path, a):
     with pytest.raises(DataError) as info:
         load_csv(p, "y", standardize=True)
     assert str(p) in str(info.value) and "'a'" in str(info.value)
-    assert load_csv(p, "y").X[:, 0].tolist() == [float(v) for v in a]
+    assert load_csv(p, "y")[0][:, 0].tolist() == [float(v) for v in a]
 
 
 def test_load_csv_ignores_non_finite_text_in_dropped_columns(tmp_path):
     p = write(tmp_path, "a,note,y\n1,nan,4\n2,ok,5\n3,inf,6\n")
-    ds = load_csv(p, "y")
-    assert ds.feature_names == ["a"]
-    assert ds.preprocessing.non_numeric_columns_dropped == ["note"]
+    x, _, prep = load_csv(p, "y")
+    assert_allclose(x, [[1.0], [2.0], [3.0]])
+    assert prep.non_numeric_columns_dropped == ["note"]
 
 
 def test_diabetes_file_shape():
-    ds = load_csv(DIABETES, "target")
-    assert ds.n_rows == 442
-    assert ds.n_cols == 10
-    assert ds.feature_names[:3] == ["age", "sex", "bmi"]
+    x, y, prep = load_csv(DIABETES, "target")
+    assert x.shape == (442, 10) and y.shape == (442,)
+    # the first row as written: age, sex, bmi, ..., and the target last
+    assert x[0, :3].tolist() == [59.0, 2.0, 32.1] and y[0] == 151.0
+    assert prep.data_sha256 == hashlib.sha256(DIABETES.read_bytes()).hexdigest()

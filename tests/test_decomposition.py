@@ -331,20 +331,18 @@ def test_ill_conditioned_polynomial_instance_still_balances():
     # Legendre features near the interpolation threshold produce spectra with
     # condition numbers around 1e9; the internal crosscheck has to tolerate
     # the float drift of two algebraically identical routes at that scale.
-    from descent_lab.data import legendre_features
-
-    ds = make_polynomial_dataset(46, 46, 0.5, seed=8)
+    x, y = make_polynomial_dataset(46, 46, 0.5, seed=8)
     xs = np.linspace(-1.0, 1.0, 1000)
-    dense_x = np.array([legendre_features(x, 46) for x in xs])
+    dense_x = _legendre_matrix(xs, 46)
     dense_y = polynomial_target(xs)
     gt = make_ground_truth(
-        np.vstack([ds.X, dense_x]),
-        np.concatenate([ds.Y, dense_y]),
-        ds.X,
-        ds.Y,
+        np.vstack([x, dense_x]),
+        np.concatenate([y, dense_y]),
+        x,
+        y,
     )
-    s = svd(ds.X)
-    bias, var, pred = decompose_test_errors(dense_x[:50], ds.X, ds.Y, s, gt)
+    s = svd(x)
+    bias, var, pred = decompose_test_errors(dense_x[:50], x, y, s, gt)
     assert np.isfinite(pred).all()
 
 
@@ -355,31 +353,31 @@ def test_nested_ground_truth_matches_the_explicit_stack_at_every_p():
     xe, ye = _legendre_matrix(xs, 200), polynomial_target(xs)
     worst = 0.0
     for seed in (0, 11):
-        full = make_polynomial_dataset(30, 200, 0.5, seed)
+        full_x, full_y = make_polynomial_dataset(30, 200, 0.5, seed)
         nested = factor_nested_ground_truth(
-            np.column_stack([np.vstack([full.X, xe]), np.concatenate([full.Y, ye])])
+            np.column_stack([np.vstack([full_x, xe]), np.concatenate([full_y, ye])])
         )
         for p in range(1, 201):
-            ds = make_polynomial_dataset(30, p, 0.5, seed)
-            stack = np.vstack([ds.X, xe[:, :p]])
+            x, y = make_polynomial_dataset(30, p, 0.5, seed)
+            stack = np.vstack([x, xe[:, :p]])
             # make_ground_truth's beta_star, on the stack's one SVD
             s = svd(stack)
-            want = pseudoinverse_apply(stack, np.concatenate([ds.Y, ye]), s=s)
-            got = make_nested_ground_truth(nested, ds.X, ds.Y)
+            want = pseudoinverse_apply(stack, np.concatenate([y, ye]), s=s)
+            got = make_nested_ground_truth(nested, x, y)
             # a full-rank stack leaves every leading block full rank
             assert s.rank == p, f"seed {seed}, P={p}"
             err = np.linalg.norm(got.beta_star - want)
             worst = max(worst, err / np.linalg.norm(want))
-            assert_allclose(got.residuals, ds.Y - ds.X @ got.beta_star, rtol=0, atol=0)
+            assert_allclose(got.residuals, y - x @ got.beta_star, rtol=0, atol=0)
     assert worst <= 1e-9, worst
 
 
 def test_nested_ground_truth_on_a_full_rank_stack_runs_no_solve(monkeypatch):
     xs = np.linspace(-1.0, 1.0, 1000)
-    ds = make_polynomial_dataset(30, 200, 0.5, seed=0)
+    x, y = make_polynomial_dataset(30, 200, 0.5, seed=0)
     nested = factor_nested_ground_truth(np.column_stack([
-        np.vstack([ds.X, _legendre_matrix(xs, 200)]),
-        np.concatenate([ds.Y, polynomial_target(xs)]),
+        np.vstack([x, _legendre_matrix(xs, 200)]),
+        np.concatenate([y, polynomial_target(xs)]),
     ]))
     solves = []
     solve = np.linalg.solve
@@ -390,7 +388,7 @@ def test_nested_ground_truth_on_a_full_rank_stack_runs_no_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     for p in (1, 30, 117, 200):
-        assert np.isfinite(make_nested_ground_truth(nested, ds.X[:, :p], ds.Y).beta_star).all()
+        assert np.isfinite(make_nested_ground_truth(nested, x[:, :p], y).beta_star).all()
     assert solves == []
 
 
@@ -405,22 +403,22 @@ def test_fused_products_on_a_strided_wide_polynomial_cell():
     n, p = 30, 60
     xs = np.linspace(-1.0, 1.0, 1000)
     xe_max, ye = _legendre_matrix(xs, 200), polynomial_target(xs)
-    ds = make_polynomial_dataset(n, 200, 0.5, seed=3)
-    x, rows = ds.X[:, :p], xe_max[:, :p]
+    x_max, y = make_polynomial_dataset(n, 200, 0.5, seed=3)
+    x, rows = x_max[:, :p], xe_max[:, :p]
     assert not rows.flags.c_contiguous
     nested = factor_nested_ground_truth(
-        np.column_stack([np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])])
+        np.column_stack([np.vstack([x_max, xe_max]), np.concatenate([y, ye])])
     )
-    gt = make_nested_ground_truth(nested, x, ds.Y)
+    gt = make_nested_ground_truth(nested, x, y)
     s = svd(x)
     assert s.rank == n < p
-    bias, var, pred = decompose_test_errors(rows, x, ds.Y, s, gt)
+    bias, var, pred = decompose_test_errors(rows, x, y, s, gt)
     want_bias = rows @ (project_onto_rowspace(gt.beta_star, s) - gt.beta_star)
     coeff = (s.u_cols.T @ gt.residuals) / s.singular_values
     assert _rel_err(bias, want_bias) <= 1e-12
     assert _rel_err(var, (rows @ s.v_cols) @ coeff) <= 1e-12
     assert_allclose(pred, bias + var, rtol=0, atol=0)
-    copied = decompose_test_errors(np.ascontiguousarray(rows), x, ds.Y, s, gt)
+    copied = decompose_test_errors(np.ascontiguousarray(rows), x, y, s, gt)
     for got, want in zip((bias, var, pred), copied):
         assert_allclose(got, want, rtol=0, atol=0)
 

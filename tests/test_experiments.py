@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 import weakref
@@ -82,8 +83,8 @@ def test_noiseless_threshold_cell_is_exact():
 
 
 def test_apply_ablation_none_is_identity():
-    ds, _ = make_student_teacher(10, 4, 0.1, seed=0)
-    s, x_eval = svd(ds.X[:6]), ds.X[6:]
+    x, _, _ = make_student_teacher(10, 4, 0.1, seed=0)
+    s, x_eval = svd(x[:6]), x[6:]
     # linearized-targets acts on the seed's targets, not on the cell
     for kind in (AblationKind(), AblationKind("linearized-targets")):
         s2, x_eval2 = apply_ablation(kind, s, x_eval)
@@ -93,8 +94,8 @@ def test_apply_ablation_none_is_identity():
 def test_projection_onto_full_rowspace_changes_nothing_visible():
     # tau = 0 keeps every training mode, and the fitted coefficients live in
     # the training row space, so projected test rows predict identically.
-    ds, _ = make_student_teacher(8, 8, 0.3, seed=1)
-    x, y, x_eval = ds.X[:3], ds.Y[:3], ds.X[3:]
+    x_all, y_all, _ = make_student_teacher(8, 8, 0.3, seed=1)
+    x, y, x_eval = x_all[:3], y_all[:3], x_all[3:]
     s = svd(x)
     s2, x_eval2 = apply_ablation(AblationKind("test-projection", 0.0), s, x_eval)
     assert s2 is s
@@ -122,10 +123,10 @@ def test_sv_cutoff_floor_shows_up_in_records():
 
 
 def test_ablation_needs_resolved_tau():
-    ds, _ = make_student_teacher(6, 3, 0.1, seed=0)
+    x, _, _ = make_student_teacher(6, 3, 0.1, seed=0)
     for kind in ("sv-cutoff", "test-projection"):
         with pytest.raises(ConfigError):
-            apply_ablation(AblationKind(kind), svd(ds.X[:3]), ds.X[3:])
+            apply_ablation(AblationKind(kind), svd(x[:3]), x[3:])
 
 
 DIABETES = dict(
@@ -159,14 +160,15 @@ def _every_fitting_sigma_max(config: SweepConfig) -> list[float]:
         grid = config.grid
         pools = [
             make_student_teacher(rows + experiments.N_TEST_SYNTHETIC, config.d,
-                                 config.noise_sd, seed)[0].X[:rows]
+                                 config.noise_sd, seed)[0][:rows]
             for seed in config.seeds
         ]
     else:
-        ds = load_csv(config.source[4:], config.target_column, config.standardize)
-        rows = ds.n_rows - round(experiments.HOLDOUT_FRACTION * ds.n_rows)
+        x, _, _ = load_csv(config.source[4:], config.target_column, config.standardize)
+        n_rows = x.shape[0]
+        rows = n_rows - round(experiments.HOLDOUT_FRACTION * n_rows)
         grid = config.grid or experiments.default_real_grid(rows)
-        pools = [ds.X[np.random.default_rng(seed).permutation(ds.n_rows)[:rows]]
+        pools = [x[np.random.default_rng(seed).permutation(n_rows)[:rows]]
                  for seed in config.seeds]
     return [np.linalg.svd(x[:n], compute_uv=False)[0]
             for x in pools for n in grid if n <= rows]
@@ -231,13 +233,13 @@ def _poly_cell_reference(p, n, seed, noise_sd):
     # the ground truth refit on the explicit (n + 1000) x P stack.
     xs = np.linspace(-1.0, 1.0, 1000)
     ye = polynomial_target(xs)
-    ds = make_polynomial_dataset(n, p, noise_sd, seed)
+    x, y = make_polynomial_dataset(n, p, noise_sd, seed)
     xe = _legendre_matrix(xs, p)
-    s = svd(ds.X)
-    fit = fit_pinv(ds.X, ds.Y, s=s)
+    s = svd(x)
+    fit = fit_pinv(x, y, s=s)
     resid = xe @ fit.beta - ye
-    gt = make_ground_truth(np.vstack([ds.X, xe]), np.concatenate([ds.Y, ye]), ds.X, ds.Y)
-    bias, var, _ = decompose_test_errors(xe, ds.X, ds.Y, s, gt)
+    gt = make_ground_truth(np.vstack([x, xe]), np.concatenate([y, ye]), x, y)
+    bias, var, _ = decompose_test_errors(xe, x, y, s, gt)
     exact = (p, seed, fit.train_mse, float(resid @ resid / 1000),
              float(s.singular_values[-1]), fit.regime)
     return exact, (float(np.mean(np.abs(bias))), float(np.mean(np.abs(var))))
@@ -274,15 +276,15 @@ def test_polynomial_test_mse_is_the_decomposed_error():
     xs = np.linspace(-1.0, 1.0, 1000)
     ye, xe_max = polynomial_target(xs), _legendre_matrix(xs, p_max)
     for seed in (0, 1):
-        ds = make_polynomial_dataset(n, p_max, 0.5, seed)
+        x_max, y = make_polynomial_dataset(n, p_max, 0.5, seed)
         truth = factor_nested_ground_truth(
-            np.column_stack([np.vstack([ds.X, xe_max]), np.concatenate([ds.Y, ye])])
+            np.column_stack([np.vstack([x_max, xe_max]), np.concatenate([y, ye])])
         )
         for r in (r for r in out.records if r.seed == seed):
-            x = np.ascontiguousarray(ds.X[:, :r.d])
-            gt = make_nested_ground_truth(truth, x, ds.Y)
+            x = np.ascontiguousarray(x_max[:, :r.d])
+            gt = make_nested_ground_truth(truth, x, y)
             _assert_test_mse_is_the_decomposed_error(
-                r, xe_max[:, :r.d], ye, x, ds.Y, svd(x), gt
+                r, xe_max[:, :r.d], ye, x, y, svd(x), gt
             )
 
 
@@ -351,25 +353,44 @@ def test_linear_seed_state_reads_views_of_one_array(monkeypatch, config):
         assert np.shares_memory(part, whole)
     assert np.array_equal(np.vstack([x_pool, x_test]), x)
     assert np.array_equal(np.concatenate([y_pool, y_test]), y)
-    if plan.csv_ds is None:
+    if plan.csv is None:
         # the draw as drawn: the pool is its first grid[-1] rows
-        ds, _ = make_student_teacher(24 + experiments.N_TEST_SYNTHETIC, 8, 0.25, 3)
-        assert x_pool.shape[0] == 24
-        assert np.array_equal(x, ds.X) and np.array_equal(y, ds.Y)
+        drawn_x, drawn_y, _ = make_student_teacher(24 + experiments.N_TEST_SYNTHETIC, 8, 0.25, 3)
+        assert x_pool.shape[0] == plan.pool_rows == 24
+        assert np.array_equal(x, drawn_x) and np.array_equal(y, drawn_y)
 
 
 def test_a_csv_seed_reads_the_file_rows_in_permutation_order():
     # The file's rows in default_rng(seed).permutation order, the last 20%
     # (88 of 442 rows) held out as the test set.
     plan = experiments._prepare(SweepConfig(**DIABETES, seeds=[5], standardize=False))
-    ds = load_csv(DIABETES["source"][4:], "target", standardize=False)
+    x, y, _ = load_csv(DIABETES["source"][4:], "target", standardize=False)
     order = np.random.default_rng(5).permutation(442)
     x_pool, y_pool, x_test, y_test, _ = experiments._seed_state(plan, 5)
+    assert plan.pool_rows == 354
     assert x_pool.shape == (354, 10) and x_test.shape == (88, 10)
-    assert np.array_equal(x_pool, ds.X[order[:354]]) and np.array_equal(y_pool, ds.Y[order[:354]])
-    assert np.array_equal(x_test, ds.X[order[354:]]) and np.array_equal(y_test, ds.Y[order[354:]])
+    assert np.array_equal(x_pool, x[order[:354]]) and np.array_equal(y_pool, y[order[:354]])
+    assert np.array_equal(x_test, x[order[354:]]) and np.array_equal(y_test, y[order[354:]])
     other = experiments._seed_state(plan, 6)[0]
     assert not np.array_equal(other, x_pool)
+
+
+def test_a_csv_digest_is_of_the_bytes_the_cells_read(tmp_path, monkeypatch):
+    # The file is edited after it is loaded and before any cell runs: the
+    # digest must still be of the bytes the cells were computed from.
+    path = tmp_path / "table.csv"
+    original = (REPO / "data" / "diabetes.csv").read_bytes()
+    path.write_bytes(original)
+    run_cells = experiments._run_cells
+
+    def editing(*args):
+        path.write_bytes(original.replace(b"\n59,", b"\n60,", 1))
+        return run_cells(*args)
+
+    monkeypatch.setattr(experiments, "_run_cells", editing)
+    out = run_sweep(SweepConfig(**{**DIABETES, "source": f"csv:{path}"}, seeds=[0]))
+    assert not out.failures and path.read_bytes() != original
+    assert out.resolved["data_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def test_a_csv_too_small_to_hold_out_a_test_row_is_a_config_error(tmp_path):
@@ -390,8 +411,8 @@ def test_polynomial_sweep_factors_each_seed_once(monkeypatch):
     # array, its training rows refilled by each seed
     assert len(stacks) == 4 and all(stack is stacks[0] for stack in stacks)
     assert stacks[0].shape == (1006, 13)
-    ds = make_polynomial_dataset(6, 12, 0.3, seed=3)
-    assert np.array_equal(stacks[0][:6], np.column_stack([ds.X, ds.Y]))
+    x, y = make_polynomial_dataset(6, 12, 0.3, seed=3)
+    assert np.array_equal(stacks[0][:6], np.column_stack([x, y]))
 
 
 def test_polynomial_records_do_not_depend_on_seed_order():
@@ -416,7 +437,7 @@ def test_polynomial_stacks_keep_every_mode_with_margin(n):
     xs = np.linspace(-1.0, 1.0, experiments.DENSE_EVAL_POINTS)
     xe = _legendre_matrix(xs, p_max)
     for seed in range(20):
-        stack = np.vstack([make_polynomial_dataset(n, p_max, 0.5, seed).X, xe])
+        stack = np.vstack([make_polynomial_dataset(n, p_max, 0.5, seed)[0], xe])
         factor_nested_ground_truth(np.column_stack([stack, np.zeros(stack.shape[0])]))
         sv = np.linalg.svd(stack, compute_uv=False)
         tolerance = linalg.rank_tolerance(sv, stack.shape)
@@ -512,12 +533,12 @@ def test_a_seed_listed_twice_gives_its_records_twice(monkeypatch):
 
 
 # Each sweep as (run it on some seeds, the name in ``experiments`` its
-# per-seed build calls, that call's position in the returned state).
+# per-seed build calls).  Both calls return the seed's x array first.
 SEEDED_SWEEPS = {
-    "linear": (lambda seeds: run_sweep(small_config(seeds=seeds)), "_seed_state", 0),
+    "linear": (lambda seeds: run_sweep(small_config(seeds=seeds)), "_seed_state"),
     "polyfit": (lambda seeds: run_polynomial_sweep([2, 6, 9, 14], n=8, seeds=seeds,
                                                    noise_sd=0.3),
-                "make_polynomial_dataset", None),
+                "make_polynomial_dataset"),
 }
 
 
@@ -526,12 +547,12 @@ def test_one_thread_holds_one_seed_at_a_time(monkeypatch, sweep):
     # A weak reference to the data each seed's build returns: seeds run one
     # after another, so the seed a cell runs for is the only one alive, and a
     # sweep that kept every seed's state would show here.
-    run, name, index = SEEDED_SWEEPS[sweep]
+    run, name = SEEDED_SWEEPS[sweep]
     build, refs, alive = getattr(experiments, name), [], []
 
     def tracked(*args):
         state = build(*args)
-        refs.append(weakref.ref(state if index is None else state[index]))
+        refs.append(weakref.ref(state[0]))
         return state
 
     cell = experiments._cell
@@ -549,7 +570,7 @@ def test_one_thread_holds_one_seed_at_a_time(monkeypatch, sweep):
 
 @pytest.mark.parametrize("sweep", SEEDED_SWEEPS)
 def test_a_failing_build_fails_only_its_own_seed(monkeypatch, sweep):
-    run, name, _ = SEEDED_SWEEPS[sweep]
+    run, name = SEEDED_SWEEPS[sweep]
     clean = run([0, 2])
     build, attempts = getattr(experiments, name), []
 

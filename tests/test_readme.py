@@ -1,13 +1,22 @@
-"""README drift guard: the names README lists for each module exist."""
+"""README drift guard: the names README lists for each module exist, its
+Library snippet prints what README says, and every demo it lists runs."""
 
+import contextlib
 import importlib
+import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import descent_lab
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+REPO = Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
 MODULES = {m.name for m in pkgutil.iter_modules(descent_lab.__path__)}
 
 
@@ -42,3 +51,25 @@ def test_every_module_bullet_lists_only_attributes_of_its_module():
                if module is None
                or not hasattr(importlib.import_module(f"descent_lab.{module}"), name)]
     assert not missing
+
+
+def test_the_library_snippet_prints_what_readme_says():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = section.split("\nprints\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue() == prints
+
+
+@pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_every_demo_runs(demo, tmp_path):
+    # Demos write their plots into the working directory and read
+    # data/diabetes.csv relative to it, so each runs in its own directory.
+    (tmp_path / "data").symlink_to(REPO / "data")
+    run = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
