@@ -234,7 +234,6 @@ def cmd_sweep(args) -> int:
         estimator=parse_estimator(args.estimator),
         target_column=args.target_col,
         standardize=not args.no_standardize,
-        allow_narrow_grid=args.allow_narrow_grid,
     ))
     d = outcome.resolved["d"]
     medians = [
@@ -395,8 +394,16 @@ def cmd_gdcheck(args) -> int:
     return 0 if all(finals) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag on one stderr line, as ``main`` reports every other
+    rejected input, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="descent-lab",
         description="Double descent in ordinary linear regression: sweep it, "
         "decompose it, ablate it.",
@@ -429,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--ablation",
         default="none",
-        help="none | sv-cutoff[:tau] | test-projection[:tau] | linearized-targets "
-        "(tau defaults to 0.9x the median sigma_max over cells)",
+        help="none | sv-cutoff | test-projection | linearized-targets (the cutoff "
+        "tau is 0.9x the median sigma_max over cells)",
     )
     sw.add_argument(
         "--estimator",
@@ -441,11 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-standardize",
         action="store_true",
         help="skip feature standardization for csv datasets",
-    )
-    sw.add_argument(
-        "--allow-narrow-grid",
-        action="store_true",
-        help="allow a grid that does not span both regimes around D",
     )
     sw.add_argument("--out", default=None, help="output directory (default runs/sweep)")
     sw.set_defaults(func=cmd_sweep)

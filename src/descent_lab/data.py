@@ -116,7 +116,9 @@ def load_csv(
     ``Preprocessing`` with the SHA-256 of the bytes parsed and what was
     dropped.
 
-    The file is read once, and the digest is of exactly the bytes parsed.
+    The file is read once, and the digest is of exactly the bytes parsed,
+    a UTF-8 byte-order mark included; the mark is not part of the first
+    column's name.  A header that names a column twice raises ``DataError``.
     Non-numeric columns are dropped (and recorded); rows with any missing
     value (an empty field) among the remaining columns are dropped and
     counted; features are optionally standardized to mean 0, population sd 1.
@@ -131,7 +133,7 @@ def load_csv(
         raise FileNotFoundError(f"no such file: {path}")
     try:
         data = path.read_bytes()
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -140,6 +142,9 @@ def load_csv(
     if not rows:
         raise DataError(f"{path} is empty")
     header, body = rows[0], rows[1:]
+    for name in header:
+        if header.count(name) > 1:
+            raise DataError(f"{path}: header names column {name!r} twice")
     if target_column not in header:
         raise DataError(f"target column {target_column!r} not in header {header}")
 

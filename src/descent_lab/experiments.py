@@ -27,7 +27,7 @@ Three ablations switch off one spike ingredient each:
 * ``linearized-targets``: replace every target of a seed, pool and test, by
   X beta_star with the seed's beta_star, removing the residuals.
 
-When tau is not given explicitly it defaults to 0.9x the median of
+The cutoff is set by the data, not by the caller: tau = 0.9x the median of
 sigma_max(training X) over every cell that fits the pool.  Small cutoffs
 leave the near-threshold modes that drive the spike partially intact; a
 cutoff near the bulk of the spectrum is what actually flattens the
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
@@ -80,7 +80,7 @@ N_TEST_SYNTHETIC = 256
 DENSE_EVAL_POINTS = 1000
 HOLDOUT_FRACTION = 0.2
 REAL_GRID_POINTS = 40
-# Default singular value cutoff for the ablations, as a fraction of the
+# The singular value cutoff of the ablations, as a fraction of the
 # median per-cell sigma_max.
 SV_CUTOFF_COEFF = 0.9
 # lambda = RIDGE_AUTO_COEFF * sigma_max^2 when ridge is asked to pick its own
@@ -95,100 +95,72 @@ ABLATION_KINDS = ("none", "sv-cutoff", "test-projection", "linearized-targets")
 
 @dataclass(frozen=True)
 class AblationKind:
-    """Which spike ingredient to remove, and the cutoff where one applies.
-
-    ``tau`` may be left as None on the cutoff-style ablations, meaning
-    "resolve the default from the sweep"; it must be finite, positive for
-    sv-cutoff and nonnegative for test-projection (tau = 0 projects onto the
-    full row space).
-    """
+    """Which spike ingredient to remove.  sv-cutoff and test-projection cut
+    at the tau a sweep resolves from its own cells (``_prepare``)."""
 
     kind: str = "none"
-    tau: float | None = None
 
     def __post_init__(self):
         if self.kind not in ABLATION_KINDS:
             raise ConfigError(f"unknown ablation {self.kind!r}")
-        if self.kind in ("none", "linearized-targets") and self.tau is not None:
-            raise ConfigError(f"{self.kind} takes no cutoff")
-        if self.tau is not None and not math.isfinite(self.tau):
-            raise ConfigError(f"{self.kind} needs a finite tau, got {self.tau}")
-        if self.kind == "sv-cutoff" and self.tau is not None and not self.tau > 0:
-            raise ConfigError(f"sv-cutoff needs tau > 0, got {self.tau}")
-        if self.kind == "test-projection" and self.tau is not None and self.tau < 0:
-            raise ConfigError(f"test-projection needs tau >= 0, got {self.tau}")
 
     @property
-    def needs_tau(self) -> bool:
-        return self.kind in ("sv-cutoff", "test-projection") and self.tau is None
+    def cuts(self) -> bool:
+        return self.kind in ("sv-cutoff", "test-projection")
 
-    def label(self) -> str:
-        if self.kind in ("none", "linearized-targets"):
-            return self.kind
-        if self.tau is None:
-            return f"{self.kind}:auto"
-        return f"{self.kind}:{self.tau:.12g}"
+    def label(self, tau: float | None) -> str:
+        """The records' name for this ablation run at cutoff ``tau``."""
+        return f"{self.kind}:{tau:.12g}" if self.cuts else self.kind
 
 
 def parse_ablation(text: str) -> AblationKind:
-    """Parse CLI syntax: none | sv-cutoff[:tau] | test-projection[:tau] |
-    linearized-targets.  Omitted tau means the sweep-level default."""
-    kind, sep, arg = text.partition(":")
-    if not sep:
-        return AblationKind(kind)
-    if arg == "auto":
-        return AblationKind(kind)
-    try:
-        tau = float(arg)
-    except ValueError as exc:
-        raise ConfigError(f"bad cutoff in ablation {text!r}") from exc
-    return AblationKind(kind, tau)
+    """Parse CLI syntax: none | sv-cutoff | test-projection |
+    linearized-targets."""
+    if ":" in text:
+        raise ConfigError(
+            f"bad ablation {text!r}: ablations take no argument; the cutoff is "
+            f"{SV_CUTOFF_COEFF:g}x the median sigma_max over the sweep's cells"
+        )
+    return AblationKind(text)
 
 
 @dataclass(frozen=True)
 class EstimatorPolicy:
     """Which estimator the sweep uses: plain pseudoinverse, ridge at a fixed
-    lambda, or ridge at lambda = auto_coeff * sigma_max^2 per cell."""
+    lambda, or (lam None) ridge at lambda = RIDGE_AUTO_COEFF * sigma_max^2
+    per cell."""
 
     kind: str = "pinv"
     lam: float | None = None
-    auto_coeff: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("pinv", "ridge"):
             raise ConfigError(f"unknown estimator {self.kind!r}")
-        if self.kind == "pinv" and (self.lam is not None or self.auto_coeff is not None):
+        if self.kind == "pinv" and self.lam is not None:
             raise ConfigError("pinv takes no lambda")
-        if self.kind == "ridge":
-            if (self.lam is None) == (self.auto_coeff is None):
-                raise ConfigError("ridge needs exactly one of lambda or auto_coeff")
-            if self.lam is not None and not 0 < self.lam < math.inf:
-                raise ConfigError(f"ridge needs a finite lambda > 0, got {self.lam}")
-            if self.auto_coeff is not None and not 0 < self.auto_coeff < math.inf:
-                raise ConfigError(
-                    f"ridge auto coefficient must be finite and > 0, got {self.auto_coeff}"
-                )
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ConfigError(f"ridge needs a finite lambda > 0, got {self.lam}")
 
     def lam_for(self, s: SvdResult) -> float:
         """The ridge strength for a cell factored as ``s``: 0 for pinv and for
         a rank-0 factorization (whose fit is zero either way), else the fixed
-        lambda or auto_coeff * sigma_max^2."""
+        lambda or RIDGE_AUTO_COEFF * sigma_max^2."""
         if self.kind == "pinv" or s.rank == 0:
             return 0.0
         if self.lam is not None:
             return self.lam
-        return self.auto_coeff * float(s.singular_values[0]) ** 2
+        return RIDGE_AUTO_COEFF * float(s.singular_values[0]) ** 2
 
     def label(self) -> str:
         if self.kind == "pinv":
             return "pinv"
         if self.lam is not None:
             return f"ridge:{self.lam:.12g}"
-        return f"ridge:auto:{self.auto_coeff:.12g}"
+        return f"ridge:auto:{RIDGE_AUTO_COEFF:.12g}"
 
 
 def parse_estimator(text: str) -> EstimatorPolicy:
-    """Parse CLI syntax: pinv | ridge:lambda (also ridge:auto[:coeff])."""
+    """Parse CLI syntax: pinv | ridge:lambda | ridge:auto."""
     kind, sep, arg = text.partition(":")
     if kind == "pinv":
         if sep:
@@ -199,13 +171,13 @@ def parse_estimator(text: str) -> EstimatorPolicy:
     if not sep or not arg:
         raise ConfigError("ridge needs a lambda, e.g. ridge:0.1")
     if arg == "auto":
-        return EstimatorPolicy("ridge", auto_coeff=RIDGE_AUTO_COEFF)
+        return EstimatorPolicy("ridge")
     try:
-        if arg.startswith("auto:"):
-            return EstimatorPolicy("ridge", auto_coeff=float(arg.split(":", 1)[1]))
         lam = float(arg)
     except ValueError as exc:
-        raise ConfigError(f"bad lambda in estimator {text!r}") from exc
+        raise ConfigError(
+            f"bad lambda in estimator {text!r} (use ridge:LAMBDA or ridge:auto)"
+        ) from exc
     return EstimatorPolicy("ridge", lam=lam)
 
 
@@ -258,8 +230,7 @@ class SweepConfig:
     ``source`` is either "student-teacher" or "csv:<path>" (the latter needs
     ``target_column``).  A None grid means the default: every integer in
     [2, 3D] for synthetic data, ~40 log-spaced points for real data.  The
-    grid must span both regimes (min < D < max) unless
-    ``allow_narrow_grid`` is set.
+    grid must span both regimes (min < D < max).
     """
 
     source: str = "student-teacher"
@@ -271,7 +242,6 @@ class SweepConfig:
     estimator: EstimatorPolicy = EstimatorPolicy()
     target_column: str | None = None
     standardize: bool = True
-    allow_narrow_grid: bool = False
 
 
 def default_synthetic_grid(d: int) -> list[int]:
@@ -295,24 +265,25 @@ class _Plan:
     pinned.  Cells read from it but never write.  ``csv`` is ``load_csv``'s
     result for a csv source, None for synthetic data; ``pool_rows`` is the
     size of each seed's training pool (the grid's last point for synthetic
-    data, all but the held-out 20% of a csv's rows)."""
+    data, all but the held-out 20% of a csv's rows); ``tau`` is the cutoff
+    of sv-cutoff and test-projection, None under the other ablations."""
 
     config: SweepConfig
     csv: tuple[np.ndarray, np.ndarray, Preprocessing] | None
     d: int
     pool_rows: int
     grid: list[int]
-    ablation: AblationKind
+    tau: float | None = None
 
 
-def _validate_grid(grid: list[int], d: int, allow_narrow: bool) -> None:
+def _validate_grid(grid: list[int], d: int) -> None:
     if not grid:
         raise ConfigError("empty n_train grid")
     if any(int(n) != n or n < 1 for n in grid):
         raise ConfigError("grid entries must be positive integers")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("grid must be strictly increasing")
-    if not allow_narrow and not (grid[0] < d < grid[-1]):
+    if not grid[0] < d < grid[-1]:
         raise ConfigError(
             f"grid [{grid[0]}, {grid[-1]}] does not span both regimes around D={d}"
         )
@@ -339,15 +310,13 @@ def _prepare(config: SweepConfig) -> _Plan:
     else:
         raise ConfigError(f"unknown dataset source {config.source!r}")
     grid = [int(n) for n in grid]
-    _validate_grid(grid, d, config.allow_narrow_grid)
+    _validate_grid(grid, d)
     if csv is None:
         pool_rows = grid[-1]
 
-    plan = _Plan(config=config, csv=csv, d=d, pool_rows=pool_rows, grid=grid,
-                 ablation=config.ablation)
-    if config.ablation.needs_tau:
-        tau = SV_CUTOFF_COEFF * _median_sigma_max(plan)
-        plan.ablation = replace(config.ablation, tau=tau)
+    plan = _Plan(config=config, csv=csv, d=d, pool_rows=pool_rows, grid=grid)
+    if config.ablation.cuts:
+        plan.tau = SV_CUTOFF_COEFF * _median_sigma_max(plan)
     return plan
 
 
@@ -402,24 +371,22 @@ def _median_sigma_max(plan: _Plan) -> float:
 
 
 def apply_ablation(
-    kind: AblationKind, s: SvdResult, x_eval: np.ndarray
+    kind: AblationKind, tau: float | None, s: SvdResult, x_eval: np.ndarray
 ) -> tuple[SvdResult, np.ndarray]:
     """One cell's ablation, on the factorization ``s`` of its training rows
     and the rows ``x_eval`` its test error is measured on.
 
-    sv-cutoff truncates ``s`` at tau; test-projection projects ``x_eval``
-    onto the training modes that survive tau; none and linearized-targets
-    pass both through (the targets are linearized once per seed, in
-    ``_seed_state``).  The cutoff ablations need a concrete tau: a sweep
-    resolves the default in ``_prepare``, before any cell runs, and reports
-    it as ``resolved["tau"]``.
+    sv-cutoff truncates ``s`` at ``tau``; test-projection projects
+    ``x_eval`` onto the training modes that survive ``tau``; none and
+    linearized-targets ignore ``tau`` and pass both through (the targets are
+    linearized once per seed, in ``_seed_state``).  A sweep resolves tau in
+    ``_prepare``, before any cell runs, and reports it as
+    ``resolved["tau"]``.
     """
-    if kind.needs_tau:
-        raise ConfigError(f"{kind.kind} needs a resolved cutoff")
     if kind.kind == "sv-cutoff":
-        return truncate_svd(s, kind.tau), x_eval
+        return truncate_svd(s, tau), x_eval
     if kind.kind == "test-projection":
-        return s, project_onto_rowspace(x_eval, truncate_svd(s, kind.tau))
+        return s, project_onto_rowspace(x_eval, truncate_svd(s, tau))
     return s, x_eval
 
 
@@ -463,7 +430,7 @@ def _seed_state(plan: _Plan, seed: int):
     n_pool = plan.pool_rows
     x_pool, y_pool, x_test, y_test = x[:n_pool], y[:n_pool], x[n_pool:], y[n_pool:]
     beta_star = make_ground_truth(x, y, x_pool, y_pool).beta_star
-    if plan.ablation.kind == "linearized-targets":
+    if plan.config.ablation.kind == "linearized-targets":
         y_pool, y_test = x_pool @ beta_star, x_test @ beta_star
     return x_pool, y_pool, x_test, y_test, beta_star
 
@@ -475,14 +442,15 @@ def _linear_cell(plan: _Plan, state, n_train: int, seed: int) -> SweepRecord:
             f"n_train={n_train} exceeds the {x_pool.shape[0]}-row training pool"
         )
     x, y = x_pool[:n_train], y_pool[:n_train]
-    s, x_eval = apply_ablation(plan.ablation, svd(x), x_test)
+    ablation = plan.config.ablation
+    s, x_eval = apply_ablation(ablation, plan.tau, svd(x), x_test)
     gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
     policy = plan.config.estimator
     return SweepRecord(
         n_train=n_train,
         d=plan.d,
         seed=seed,
-        ablation=plan.ablation.label(),
+        ablation=ablation.label(plan.tau),
         estimator=policy.label(),
         **_cell(x, y, x_eval, y_test, s, gt, policy),
     )
@@ -572,8 +540,8 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
         **source,
         "grid": plan.grid,
         "seeds": list(config.seeds),
-        "ablation": plan.ablation.label(),
-        "tau": plan.ablation.tau,
+        "ablation": config.ablation.label(plan.tau),
+        "tau": plan.tau,
         "estimator": config.estimator.label(),
         **outcome.resolved,
     }

@@ -236,16 +236,18 @@ def test_sweep_cutoff_ablation_from_the_command_line(tmp_path):
     out = tmp_path / "cut"
     code = main([
         "sweep", "--d", "8", "--grid", "2:24", "--seeds", "0:1",
-        "--ablation", "sv-cutoff:0.5", "--out", str(out),
+        "--ablation", "sv-cutoff", "--out", str(out),
     ])
     assert code == 0
+    tau = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["resolved"]["tau"]
     rows = read_csv_rows(out / "records.csv")
-    assert all(r["ablation"] == "sv-cutoff:0.5" for r in rows)
+    assert all(r["ablation"] == f"sv-cutoff:{tau:.12g}" for r in rows)
     svs = [float(r["smallest_nonzero_sv"]) for r in rows if r["smallest_nonzero_sv"]]
-    assert svs and min(svs) >= 0.5
+    # the column is written to 12 significant digits
+    assert svs and min(svs) >= tau * (1 - 1e-11)
 
 
-@pytest.mark.parametrize("ablation", ["sv-cutoff", "sv-cutoff:0.5", "test-projection", "none"])
+@pytest.mark.parametrize("ablation", ["sv-cutoff", "test-projection", "none"])
 def test_manifest_records_tau_at_full_precision(tmp_path, ablation):
     out = tmp_path / "tau"
     code = main([
@@ -256,12 +258,10 @@ def test_manifest_records_tau_at_full_precision(tmp_path, ablation):
     tau = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["resolved"]["tau"]
     if ablation == "none":
         assert tau is None
-    elif ablation == "sv-cutoff:0.5":
-        assert tau == 0.5
     else:
         config = SweepConfig(d=8, noise_sd=0.25, grid=list(range(2, 25)), seeds=[0, 1, 2],
                              ablation=AblationKind("sv-cutoff"))
-        assert tau == _prepare(config).ablation.tau
+        assert tau == _prepare(config).tau
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):
@@ -312,14 +312,22 @@ def test_an_out_at_a_file_exits_2_before_any_cell(tmp_path, capsys, monkeypatch,
     assert file.read_text(encoding="utf-8") == "kept\n"
 
 
-def test_narrow_grid_needs_its_flag(tmp_path):
-    narrow = ["sweep", "--d", "32", "--grid", "40:50", "--seeds", "0"]
-    out = tmp_path / "narrow"
-    assert main([*narrow, "--out", str(out)]) == 2
+@pytest.mark.parametrize("flags", [
+    ["--grid", "40:50"],
+    ["--grid", "40:50", "--allow-narrow-grid"],
+    ["--ablation", "sv-cutoff:0.5"],
+    ["--ablation", "test-projection:auto"],
+    ["--estimator", "ridge:auto:0.3"],
+], ids=["narrow-grid", "allow-narrow-grid", "sv-cutoff:0.5", "test-projection:auto",
+        "ridge:auto:0.3"])
+def test_a_narrow_grid_or_a_removed_setting_exits_2_with_one_line(tmp_path, capsys, flags):
+    # The grid must span D, the cutoff is set by the data and ridge:auto's
+    # coefficient is fixed: no flag or spelling sets any of them.
+    out = tmp_path / "out"
+    assert main(["sweep", "--d", "32", "--seeds", "0", *flags, "--out", str(out)]) == 2
     assert not out.exists()
-    assert main([*narrow, "--allow-narrow-grid", "--out", str(out)]) == 0
-    config = json.loads((out / "manifest.json").read_text())["config"]
-    assert config["allow_narrow_grid"] is True
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("descent-lab: ")
 
 
 @pytest.mark.parametrize("flags", [
@@ -334,7 +342,11 @@ def test_non_finite_cutoff_or_ridge_strength_exits_2(tmp_path, capsys, flags):
     assert main(["sweep", "--d", "8", "--grid", "2:24", "--seeds", "0:1",
                  *flags, "--out", str(out)]) == 2
     assert not (out / "records.csv").exists()
-    assert "finite" in capsys.readouterr().err
+    # A fixed lambda is refused for not being finite; a cutoff or an auto
+    # coefficient is refused whatever its value, naming the spelling.
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert ("finite" if flags[1] == "ridge:inf" else repr(flags[1])) in err[0]
 
 
 @pytest.mark.parametrize("noise", ["nan", "inf", "-0.5"])

@@ -120,6 +120,27 @@ def test_load_csv_basic(tmp_path):
     )
 
 
+def test_load_csv_drops_a_byte_order_mark_from_the_header(tmp_path):
+    # as spreadsheet exports often write; the digest stays of the raw bytes
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfy,a,b\n3,1,2\n6,4,5\n")
+    x, y, prep = load_csv(p, "y")
+    assert_allclose(x, [[1.0, 2.0], [4.0, 5.0]])
+    assert_allclose(y, [3.0, 6.0])
+    assert prep.data_sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("header", ["y,a,y", "a,y,a", "a,b,b,y"])
+def test_load_csv_rejects_a_column_named_twice(tmp_path, header):
+    # else a second "y" would be read as a feature, the target leaking into X
+    cols = header.split(",")
+    name = next(c for c in cols if cols.count(c) > 1)
+    row = ",".join(str(j) for j in range(len(cols)))
+    p = write(tmp_path, f"{header}\n{row}\n{row}\n")
+    with pytest.raises(DataError, match=f"header names column '{name}' twice"):
+        load_csv(p, "y")
+
+
 def test_load_csv_drops_and_counts_incomplete_rows(tmp_path):
     p = write(tmp_path, "a,b,y\n1,2,3\n4,,6\n7,8,\n9,10,11\n")
     x, y, prep = load_csv(p, "y")

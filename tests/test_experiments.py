@@ -3,6 +3,7 @@ import math
 import threading
 import weakref
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_apply_ablation_none_is_identity():
     s, x_eval = svd(x[:6]), x[6:]
     # linearized-targets acts on the seed's targets, not on the cell
     for kind in (AblationKind(), AblationKind("linearized-targets")):
-        s2, x_eval2 = apply_ablation(kind, s, x_eval)
+        s2, x_eval2 = apply_ablation(kind, None, s, x_eval)
         assert s2 is s and x_eval2 is x_eval
 
 
@@ -97,7 +98,7 @@ def test_projection_onto_full_rowspace_changes_nothing_visible():
     x_all, y_all, _ = make_student_teacher(8, 8, 0.3, seed=1)
     x, y, x_eval = x_all[:3], y_all[:3], x_all[3:]
     s = svd(x)
-    s2, x_eval2 = apply_ablation(AblationKind("test-projection", 0.0), s, x_eval)
+    s2, x_eval2 = apply_ablation(AblationKind("test-projection"), 0.0, s, x_eval)
     assert s2 is s
     beta = fit_pinv(x, y).beta
     assert_allclose(x_eval2 @ beta, x_eval @ beta, atol=1e-10)
@@ -115,18 +116,12 @@ def test_linearized_targets_leave_no_residuals():
 
 
 def test_sv_cutoff_floor_shows_up_in_records():
-    out = run_sweep(small_config(ablation=AblationKind("sv-cutoff", 0.5), seeds=[0, 1]))
+    out = run_sweep(small_config(ablation=AblationKind("sv-cutoff"), seeds=[0, 1]))
     assert not out.failures
-    assert all(r.ablation == "sv-cutoff:0.5" for r in out.records)
+    tau = out.resolved["tau"]
+    assert all(r.ablation == f"sv-cutoff:{tau:.12g}" for r in out.records)
     svs = [r.smallest_nonzero_sv for r in out.records if r.smallest_nonzero_sv is not None]
-    assert svs and min(svs) >= 0.5
-
-
-def test_ablation_needs_resolved_tau():
-    x, _, _ = make_student_teacher(6, 3, 0.1, seed=0)
-    for kind in ("sv-cutoff", "test-projection"):
-        with pytest.raises(ConfigError):
-            apply_ablation(AblationKind(kind), svd(x[:3]), x[3:])
+    assert svs and min(svs) >= tau
 
 
 DIABETES = dict(
@@ -176,7 +171,7 @@ def _every_fitting_sigma_max(config: SweepConfig) -> list[float]:
 
 def _default_tau(config: SweepConfig) -> float:
     """The cutoff a sweep resolves for ``config`` under ``sv-cutoff``."""
-    return experiments._prepare(replace(config, ablation=AblationKind("sv-cutoff"))).ablation.tau
+    return experiments._prepare(replace(config, ablation=AblationKind("sv-cutoff"))).tau
 
 
 @pytest.mark.parametrize("name", list(TAU_CONFIGS))
@@ -187,11 +182,24 @@ def test_resolve_tau_matches_the_median_of_every_fitting_cell(name):
     assert tau > 0 and _default_tau(config) == tau
 
 
-@pytest.mark.parametrize("config", [
-    SweepConfig(**DIABETES, grid=[400, 420], seeds=[0, 1], allow_narrow_grid=True),
-    SweepConfig(d=8, grid=list(range(2, 25)), seeds=[]),
+def _csv_with_fewer_pool_rows_than_features(tmp_path) -> SweepConfig:
+    # 10 rows leave an 8-row pool; the grid spans the 12 features from 9 up,
+    # so no cell fits the pool.
+    path = tmp_path / "wide.csv"
+    rows = np.random.default_rng(0).standard_normal((10, 13))
+    lines = [",".join(["y", *(f"x{j}" for j in range(12))])]
+    lines += [",".join(f"{v:.6f}" for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return SweepConfig(source=f"csv:{path}", target_column="y", d=None, grid=[9, 20],
+                       seeds=[0, 1])
+
+
+@pytest.mark.parametrize("make_config", [
+    _csv_with_fewer_pool_rows_than_features,
+    lambda tmp_path: SweepConfig(d=8, grid=list(range(2, 25)), seeds=[]),
 ], ids=["grid-past-pool", "no-seeds"])
-def test_resolve_tau_without_a_fitting_cell_is_a_config_error(config):
+def test_resolve_tau_without_a_fitting_cell_is_a_config_error(tmp_path, make_config):
+    config = make_config(tmp_path)
     with pytest.raises(ConfigError, match="no usable cells"):
         run_sweep(replace(config, ablation=AblationKind("sv-cutoff")))
 
@@ -397,8 +405,8 @@ def test_a_csv_too_small_to_hold_out_a_test_row_is_a_config_error(tmp_path):
     # 2 rows: 20% rounds to no test row, so no cell could measure a test error.
     path = tmp_path / "tiny.csv"
     path.write_text("a,b,t\n1,2,3\n4,7,5\n", encoding="utf-8")
-    config = SweepConfig(source=f"csv:{path}", target_column="t", d=None, grid=[1],
-                         seeds=[0], allow_narrow_grid=True)
+    config = SweepConfig(source=f"csv:{path}", target_column="t", d=None, grid=[1, 3],
+                         seeds=[0])
     with pytest.raises(ConfigError, match="2 rows leave no test row"):
         run_sweep(config)
 
@@ -515,7 +523,7 @@ def test_headline_test_mse_is_the_decomposed_error(variant):
     for r in out.records:
         x_pool, y_pool, x_test, y_test, beta_star = states[r.seed]
         x, y = x_pool[:r.n_train], y_pool[:r.n_train]
-        s, x_eval = apply_ablation(plan.ablation, svd(x), x_test)
+        s, x_eval = apply_ablation(cfg.ablation, plan.tau, svd(x), x_test)
         gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
         _assert_test_mse_is_the_decomposed_error(r, x_eval, y_test, x, y, s, gt,
                                                  cfg.estimator.lam_for(s))
@@ -664,11 +672,14 @@ def test_concurrent_sweeps_share_one_blas_limit(monkeypatch, blas_count):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_cell_matches_the_sweep_record(variant):
     # Given the resolved cutoff, a cell's record depends on its own seed only:
-    # seed 3 alone gives the rows seed 3 has in a sweep with seed 0 before it.
+    # seed 3 alone, at the cutoff the sweep with seed 0 before it resolved,
+    # gives the rows seed 3 has in that sweep.
     cfg = small_config(seeds=[0, 3], **VARIANTS[variant])
     both = run_sweep(cfg)
-    ablation = replace(cfg.ablation, tau=both.resolved["tau"])
-    alone = run_sweep(replace(cfg, seeds=[3], ablation=ablation))
+    plan = experiments._prepare(cfg)
+    assert plan.tau == both.resolved["tau"]
+    alone = experiments._run_seeded(plan.grid, [3], partial(experiments._seed_state, plan),
+                                    partial(experiments._linear_cell, plan))
     assert not both.failures and not alone.failures
     assert len(alone.records) == len(SMALL["grid"])
     assert alone.records == [r for r in both.records if r.seed == 3]
@@ -690,10 +701,9 @@ def test_grid_validation():
         run_sweep(SweepConfig(d=8, grid=[5, 4, 6], seeds=[0]))  # not increasing
     with pytest.raises(ConfigError):
         run_sweep(SweepConfig(d=8, grid=[], seeds=[0]))
-    with pytest.raises(ConfigError):
-        run_sweep(SweepConfig(d=32, grid=[40, 50], seeds=[0]))  # misses n < D
-    out = run_sweep(SweepConfig(d=32, grid=[40, 50], seeds=[0], allow_narrow_grid=True))
-    assert len(out.records) == 2
+    for narrow in ([40, 50], [2, 32], [32, 50]):  # each misses a side of D
+        with pytest.raises(ConfigError, match="does not span both regimes"):
+            run_sweep(SweepConfig(d=32, grid=narrow, seeds=[0]))
 
 
 def test_default_synthetic_grid_spans_the_threshold():
@@ -719,14 +729,12 @@ def test_median_of_nan_is_nan():
 
 
 def test_parse_ablation():
+    for kind in experiments.ABLATION_KINDS:
+        assert parse_ablation(kind) == AblationKind(kind)
     assert parse_ablation("none") == AblationKind()
-    assert parse_ablation("sv-cutoff:0.5") == AblationKind("sv-cutoff", 0.5)
-    assert parse_ablation("sv-cutoff") == AblationKind("sv-cutoff")
-    assert parse_ablation("test-projection:auto") == AblationKind("test-projection")
-    assert parse_ablation("linearized-targets") == AblationKind("linearized-targets")
-    for bad in ("flip-signs", "sv-cutoff:tiny", "sv-cutoff:-1", "none:0.5",
-                "sv-cutoff:nan", "sv-cutoff:inf", "test-projection:nan",
-                "test-projection:inf"):
+    # the cutoff is set by the data: no spelling carries one
+    for bad in ("flip-signs", "sv-cutoff:0.5", "sv-cutoff:auto", "test-projection:0",
+                "test-projection:auto", "none:0.5", "linearized-targets:1", "sv-cutoff:"):
         with pytest.raises(ConfigError):
             parse_ablation(bad)
 
@@ -734,40 +742,42 @@ def test_parse_ablation():
 def test_parse_estimator():
     assert parse_estimator("pinv") == EstimatorPolicy()
     assert parse_estimator("ridge:0.25") == EstimatorPolicy("ridge", lam=0.25)
-    auto = parse_estimator("ridge:auto")
-    assert auto.kind == "ridge" and auto.auto_coeff is not None and auto.lam is None
-    assert parse_estimator("ridge:auto:0.1").auto_coeff == 0.1
+    assert parse_estimator("ridge:auto") == EstimatorPolicy("ridge")
     for bad in ("lasso", "ridge", "ridge:", "ridge:soft", "ridge:-1", "pinv:0.1",
-                "ridge:auto:junk", "ridge:auto:-2", "ridge:nan", "ridge:inf",
-                "ridge:auto:nan", "ridge:auto:inf"):
+                "ridge:auto:0.1", "ridge:auto:junk", "ridge:auto:", "ridge:nan",
+                "ridge:inf", "ridge:auto:inf"):
         with pytest.raises(ConfigError):
             parse_estimator(bad)
 
 
 def test_ablation_kind_labels_and_validation():
-    assert AblationKind().label() == "none"
-    assert AblationKind("sv-cutoff").label() == "sv-cutoff:auto"
-    assert AblationKind("sv-cutoff", 0.5).label() == "sv-cutoff:0.5"
-    assert AblationKind("test-projection", 0.0).label() == "test-projection:0"
+    assert AblationKind().label(None) == "none"
+    assert AblationKind("linearized-targets").label(None) == "linearized-targets"
+    assert AblationKind("sv-cutoff").label(0.5) == "sv-cutoff:0.5"
+    assert AblationKind("sv-cutoff").label(1 / 3) == "sv-cutoff:0.333333333333"
+    assert AblationKind("test-projection").label(0.0) == "test-projection:0"
     with pytest.raises(ConfigError):
-        AblationKind("none", 1.0)
-    with pytest.raises(ConfigError):
-        AblationKind("sv-cutoff", 0.0)
-    with pytest.raises(ConfigError):
-        AblationKind("test-projection", -0.5)
-    with pytest.raises(ConfigError):
-        AblationKind("linearized-targets", 1.0)
+        AblationKind("flip-signs")
+    with pytest.raises(TypeError):
+        AblationKind("sv-cutoff", 0.5)  # no cutoff field
 
 
 def test_estimator_policy_validation():
     with pytest.raises(ConfigError):
-        EstimatorPolicy("ridge")  # needs lambda or coefficient
-    with pytest.raises(ConfigError):
-        EstimatorPolicy("ridge", lam=0.1, auto_coeff=0.1)
+        EstimatorPolicy("lasso")
     with pytest.raises(ConfigError):
         EstimatorPolicy("pinv", lam=0.1)
     with pytest.raises(ConfigError):
         EstimatorPolicy("ridge", lam=0.0)
+    with pytest.raises(TypeError):
+        EstimatorPolicy("ridge", auto_coeff=0.1)  # no coefficient field
+    # without a fixed lambda, ridge takes RIDGE_AUTO_COEFF * sigma_max^2
+    auto = EstimatorPolicy("ridge")
+    assert auto.label() == "ridge:auto:0.5"
+    s = svd(np.diag([3.0, 1.0]))
+    assert auto.lam_for(s) == experiments.RIDGE_AUTO_COEFF * 9.0
+    assert EstimatorPolicy("ridge", lam=0.1).lam_for(s) == 0.1
+    assert EstimatorPolicy().lam_for(s) == 0.0
 
 
 def test_peak_ratio_needs_both_anchor_points():

@@ -1,28 +1,47 @@
 """The names the benchmark's outside tracer (``perfbench/spans.py``) and its
-child process (``perfbench/child.py``) look up in descent_lab.
+child process (``perfbench/child.py``) look up in descent_lab, and the
+commands its workloads (``perfbench/workloads.py``) run.
 
 The tracer patches functions by name, so renaming or deleting one of them
-breaks ``perfbench/run.py --trace 1`` without failing any other test.
+breaks ``perfbench/run.py --trace 1`` without failing any other test; a
+changed CLI spelling would likewise break ``perfbench/run.py`` unseen.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 from descent_lab import cli, experiments
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, mp):
+    """perfbench/NAME.py as a module, in sys.modules while ``mp`` lasts (its
+    dataclasses look their module up there)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    mp.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    with pytest.MonkeyPatch.context() as mp:
+        return _load("spans", mp)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling checks.py as a top-level module
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "checks", _load("checks", mp))
+        return _load("workloads", mp)
 
 
 def test_every_traced_layer_resolves(spans):
@@ -74,3 +93,21 @@ def test_tracer_sees_the_ridge_fit_and_its_decomposition_in_every_cell(spans, tm
     assert _cells_of(traced, "estimators.fit_ridge") == cells
     assert _cells_of(traced, "decomposition.decompose_test_errors") == cells
     assert _cells_of(traced, "estimators.fit_pinv") == []
+
+
+def test_every_benchmark_command_parses(workloads, tmp_path):
+    # each timed command as run.py runs it (a --seeds range and --out added),
+    # and each untimed reference command (with --out)
+    argvs = [argv + ["--out", str(tmp_path)]
+             for w in workloads.WORKLOADS.values()
+             for argv in [*w.invocations(0), *map(list, w.reference)]]
+    assert argvs
+    parser = cli.build_parser()
+    for argv in argvs:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"descent-lab rejects the benchmark command {argv}")
+        if args.command == "sweep":
+            experiments.parse_ablation(args.ablation)
+            experiments.parse_estimator(args.estimator)
