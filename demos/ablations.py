@@ -8,17 +8,17 @@
 #
 # Run from the repo root:  python3 demos/ablations.py
 
-from descent_lab import SweepConfig, parse_ablation, parse_estimator, peak_ratio, run_sweep
+from descent_lab import SweepConfig, peak_ratio, run_sweep
 
 D = 16
 BASE = dict(d=D, noise_sd=0.25, grid=list(range(2, 3 * D + 1)), seeds=list(range(10)))
 
 runs = [
     ("baseline (pinv)", SweepConfig(**BASE)),
-    ("sv-cutoff", SweepConfig(**BASE, ablation=parse_ablation("sv-cutoff"))),
-    ("test-projection", SweepConfig(**BASE, ablation=parse_ablation("test-projection"))),
-    ("linearized-targets", SweepConfig(**BASE, ablation=parse_ablation("linearized-targets"))),
-    ("ridge:auto", SweepConfig(**BASE, estimator=parse_estimator("ridge:auto"))),
+    ("sv-cutoff", SweepConfig(**BASE, ablation="sv-cutoff")),
+    ("test-projection", SweepConfig(**BASE, ablation="test-projection")),
+    ("linearized-targets", SweepConfig(**BASE, ablation="linearized-targets")),
+    ("ridge:auto", SweepConfig(**BASE, estimator="ridge:auto")),
 ]
 
 print(f"student-teacher D = {D}, grid 2..{3 * D}, {len(BASE['seeds'])} seeds")

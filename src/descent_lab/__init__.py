@@ -69,16 +69,12 @@ from .estimators import (
     regime_of,
 )
 from .experiments import (
-    AblationKind,
     CellFailure,
-    EstimatorPolicy,
     SweepConfig,
     SweepOutcome,
     SweepRecord,
     apply_ablation,
     median_series,
-    parse_ablation,
-    parse_estimator,
     peak_ratio,
     run_polynomial_sweep,
     run_sweep,
@@ -95,7 +91,6 @@ from .svgplot import render_line_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationKind",
     "CellFailure",
     "ConfigError",
     "DataError",
@@ -107,7 +102,6 @@ __all__ = [
     "EmptySeriesError",
     "EmptySpectrumError",
     "ErrorDecomposition",
-    "EstimatorPolicy",
     "FitResult",
     "GdTrace",
     "GroundTruth",
@@ -136,8 +130,6 @@ __all__ = [
     "make_polynomial_dataset",
     "make_student_teacher",
     "median_series",
-    "parse_ablation",
-    "parse_estimator",
     "peak_ratio",
     "polynomial_target",
     "project_onto_rowspace",

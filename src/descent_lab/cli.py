@@ -38,8 +38,6 @@ from .experiments import (
     SweepConfig,
     SweepRecord,
     median_series,
-    parse_ablation,
-    parse_estimator,
     run_polynomial_sweep,
     run_sweep,
 )
@@ -230,8 +228,8 @@ def cmd_sweep(args) -> int:
         noise_sd=args.noise_sd,
         grid=_parse_grid(args.grid) if args.grid else None,
         seeds=_parse_seeds(args.seeds),
-        ablation=parse_ablation(args.ablation),
-        estimator=parse_estimator(args.estimator),
+        ablation=args.ablation,
+        estimator=args.estimator,
         target_column=args.target_col,
         standardize=not args.no_standardize,
     ))

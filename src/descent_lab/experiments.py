@@ -28,7 +28,7 @@ Three ablations switch off one spike ingredient each:
   X beta_star with the seed's beta_star, removing the residuals.
 
 The cutoff is set by the data, not by the caller: tau = 0.9x the median of
-sigma_max(training X) over every cell that fits the pool.  Small cutoffs
+sigma_max(training X) over every cell of the sweep.  Small cutoffs
 leave the near-threshold modes that drive the spike partially intact; a
 cutoff near the bulk of the spectrum is what actually flattens the
 peak-to-tail ratio.  Appending a row never lowers sigma_max (Cauchy
@@ -93,92 +93,49 @@ PEAK_RATIO_EPS = 1e-12
 ABLATION_KINDS = ("none", "sv-cutoff", "test-projection", "linearized-targets")
 
 
-@dataclass(frozen=True)
-class AblationKind:
-    """Which spike ingredient to remove.  sv-cutoff and test-projection cut
-    at the tau a sweep resolves from its own cells (``_prepare``)."""
-
-    kind: str = "none"
-
-    def __post_init__(self):
-        if self.kind not in ABLATION_KINDS:
-            raise ConfigError(f"unknown ablation {self.kind!r}")
-
-    @property
-    def cuts(self) -> bool:
-        return self.kind in ("sv-cutoff", "test-projection")
-
-    def label(self, tau: float | None) -> str:
-        """The records' name for this ablation run at cutoff ``tau``."""
-        return f"{self.kind}:{tau:.12g}" if self.cuts else self.kind
-
-
-def parse_ablation(text: str) -> AblationKind:
-    """Parse CLI syntax: none | sv-cutoff | test-projection |
-    linearized-targets."""
-    if ":" in text:
+def _settings(ablation: str, estimator: str) -> tuple[float | None, str]:
+    """Check a sweep's ablation and estimator spellings, as the CLI takes
+    them: ``none | sv-cutoff | test-projection | linearized-targets`` and
+    ``pinv | ridge:<lambda> | ridge:auto``.  Returns the estimator's ridge
+    rule, 0 for pinv, the fixed lambda, or None for ridge:auto (lambda =
+    RIDGE_AUTO_COEFF * sigma_max^2 per cell), and its label in the records.
+    sv-cutoff and test-projection cut at the tau ``_prepare`` resolves."""
+    if ":" in ablation:
         raise ConfigError(
-            f"bad ablation {text!r}: ablations take no argument; the cutoff is "
+            f"bad ablation {ablation!r}: ablations take no argument; the cutoff is "
             f"{SV_CUTOFF_COEFF:g}x the median sigma_max over the sweep's cells"
         )
-    return AblationKind(text)
-
-
-@dataclass(frozen=True)
-class EstimatorPolicy:
-    """Which estimator the sweep uses: plain pseudoinverse, ridge at a fixed
-    lambda, or (lam None) ridge at lambda = RIDGE_AUTO_COEFF * sigma_max^2
-    per cell."""
-
-    kind: str = "pinv"
-    lam: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("pinv", "ridge"):
-            raise ConfigError(f"unknown estimator {self.kind!r}")
-        if self.kind == "pinv" and self.lam is not None:
-            raise ConfigError("pinv takes no lambda")
-        if self.lam is not None and not 0 < self.lam < math.inf:
-            raise ConfigError(f"ridge needs a finite lambda > 0, got {self.lam}")
-
-    def lam_for(self, s: SvdResult) -> float:
-        """The ridge strength for a cell factored as ``s``: 0 for pinv and for
-        a rank-0 factorization (whose fit is zero either way), else the fixed
-        lambda or RIDGE_AUTO_COEFF * sigma_max^2."""
-        if self.kind == "pinv" or s.rank == 0:
-            return 0.0
-        if self.lam is not None:
-            return self.lam
-        return RIDGE_AUTO_COEFF * float(s.singular_values[0]) ** 2
-
-    def label(self) -> str:
-        if self.kind == "pinv":
-            return "pinv"
-        if self.lam is not None:
-            return f"ridge:{self.lam:.12g}"
-        return f"ridge:auto:{RIDGE_AUTO_COEFF:.12g}"
-
-
-def parse_estimator(text: str) -> EstimatorPolicy:
-    """Parse CLI syntax: pinv | ridge:lambda | ridge:auto."""
-    kind, sep, arg = text.partition(":")
+    if ablation not in ABLATION_KINDS:
+        raise ConfigError(f"unknown ablation {ablation!r}")
+    kind, sep, arg = estimator.partition(":")
     if kind == "pinv":
         if sep:
             raise ConfigError("pinv takes no argument")
-        return EstimatorPolicy("pinv")
+        return 0.0, "pinv"
     if kind != "ridge":
-        raise ConfigError(f"unknown estimator {text!r}")
-    if not sep or not arg:
+        raise ConfigError(f"unknown estimator {estimator!r}")
+    if not arg:
         raise ConfigError("ridge needs a lambda, e.g. ridge:0.1")
     if arg == "auto":
-        return EstimatorPolicy("ridge")
+        return None, f"ridge:auto:{RIDGE_AUTO_COEFF:.12g}"
     try:
         lam = float(arg)
     except ValueError as exc:
         raise ConfigError(
-            f"bad lambda in estimator {text!r} (use ridge:LAMBDA or ridge:auto)"
+            f"bad lambda in estimator {estimator!r} (use ridge:LAMBDA or ridge:auto)"
         ) from exc
-    return EstimatorPolicy("ridge", lam=lam)
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"ridge needs a finite lambda > 0, got {lam}")
+    return lam, f"ridge:{lam:.12g}"
+
+
+def _check_seeds_and_noise(seeds: list[int], noise_sd: float) -> None:
+    if not 0 <= noise_sd < math.inf:
+        raise ConfigError(f"noise-sd must be finite and >= 0, got {noise_sd}")
+    if not seeds:
+        raise ConfigError("no seeds to run")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
 
 
 @dataclass
@@ -230,7 +187,9 @@ class SweepConfig:
     ``source`` is either "student-teacher" or "csv:<path>" (the latter needs
     ``target_column``).  A None grid means the default: every integer in
     [2, 3D] for synthetic data, ~40 log-spaced points for real data.  The
-    grid must span both regimes (min < D < max).
+    grid must span both regimes (min < D < max), and a csv grid must end
+    within the training pool.  ``ablation`` and ``estimator`` are the CLI's
+    spellings (``_settings``), and ``seeds`` a non-empty list of seeds >= 0.
     """
 
     source: str = "student-teacher"
@@ -238,8 +197,8 @@ class SweepConfig:
     noise_sd: float = 0.25
     grid: list[int] | None = None
     seeds: list[int] = field(default_factory=lambda: list(range(30)))
-    ablation: AblationKind = AblationKind()
-    estimator: EstimatorPolicy = EstimatorPolicy()
+    ablation: str = "none"
+    estimator: str = "pinv"
     target_column: str | None = None
     standardize: bool = True
 
@@ -248,8 +207,11 @@ def default_synthetic_grid(d: int) -> list[int]:
     return list(range(2, 3 * d + 1))
 
 
-def default_real_grid(pool_rows: int) -> list[int]:
-    pts = np.geomspace(2, pool_rows, REAL_GRID_POINTS)
+def default_real_grid(pool_rows: int, d: int) -> list[int]:
+    """About 40 log-spaced points from min(2, D - 1) to the pool's size."""
+    if d < 2:
+        raise ConfigError(f"no grid point lies below D={d}: a csv needs 2 or more features")
+    pts = np.geomspace(min(2, d - 1), pool_rows, REAL_GRID_POINTS)
     return sorted({int(round(p)) for p in pts})
 
 
@@ -261,18 +223,24 @@ def worker_count() -> int:
 
 @dataclass
 class _Plan:
-    """A SweepConfig with everything resolved: data loaded, grid and cutoff
-    pinned.  Cells read from it but never write.  ``csv`` is ``load_csv``'s
-    result for a csv source, None for synthetic data; ``pool_rows`` is the
-    size of each seed's training pool (the grid's last point for synthetic
-    data, all but the held-out 20% of a csv's rows); ``tau`` is the cutoff
-    of sv-cutoff and test-projection, None under the other ablations."""
+    """A SweepConfig checked and resolved: data loaded, grid, cutoff, ridge
+    rule and record labels pinned.  Cells read from it but never write.
+    ``csv`` is ``load_csv``'s result for a csv source, None for synthetic
+    data; ``pool_rows`` is the size of each seed's training pool (the grid's
+    last point for synthetic data, all but the held-out 20% of a csv's
+    rows); ``lam`` is the ridge rule of ``_settings`` (0, a fixed lambda, or
+    None for auto); ``tau`` is the cutoff of sv-cutoff and test-projection,
+    None under the other ablations; ``ablation`` and ``estimator`` are the
+    records' labels."""
 
     config: SweepConfig
     csv: tuple[np.ndarray, np.ndarray, Preprocessing] | None
     d: int
     pool_rows: int
     grid: list[int]
+    lam: float | None
+    estimator: str
+    ablation: str
     tau: float | None = None
 
 
@@ -290,8 +258,10 @@ def _validate_grid(grid: list[int], d: int) -> None:
 
 
 def _prepare(config: SweepConfig) -> _Plan:
-    if not 0 <= config.noise_sd < math.inf:
-        raise ConfigError(f"noise-sd must be finite and >= 0, got {config.noise_sd}")
+    """Check ``config`` and resolve it, before any cell or the tau pass
+    runs: every input a sweep refuses is refused here."""
+    lam, estimator = _settings(config.ablation, config.estimator)
+    _check_seeds_and_noise(config.seeds, config.noise_sd)
     if config.source.startswith("csv:"):
         if not config.target_column:
             raise ConfigError("csv datasets need a target column")
@@ -300,7 +270,7 @@ def _prepare(config: SweepConfig) -> _Plan:
         pool_rows = n_rows - int(round(HOLDOUT_FRACTION * n_rows))
         if pool_rows == n_rows:
             raise ConfigError(f"{config.source[4:]}: {n_rows} rows leave no test row")
-        grid = config.grid if config.grid is not None else default_real_grid(pool_rows)
+        grid = config.grid if config.grid is not None else default_real_grid(pool_rows, d)
     elif config.source == "student-teacher":
         if config.d is None or config.d < 1:
             raise ConfigError("student-teacher data needs a positive feature count d")
@@ -313,10 +283,15 @@ def _prepare(config: SweepConfig) -> _Plan:
     _validate_grid(grid, d)
     if csv is None:
         pool_rows = grid[-1]
+    elif grid[-1] > pool_rows:
+        raise ConfigError(f"grid ends at n_train={grid[-1]}, past the {pool_rows}-row "
+                          f"training pool")
 
-    plan = _Plan(config=config, csv=csv, d=d, pool_rows=pool_rows, grid=grid)
-    if config.ablation.cuts:
+    plan = _Plan(config=config, csv=csv, d=d, pool_rows=pool_rows, grid=grid, lam=lam,
+                 estimator=estimator, ablation=config.ablation)
+    if config.ablation in ("sv-cutoff", "test-projection"):
         plan.tau = SV_CUTOFF_COEFF * _median_sigma_max(plan)
+        plan.ablation = f"{config.ablation}:{plan.tau:.12g}"
     return plan
 
 
@@ -341,8 +316,8 @@ def _environment(plan: _Plan, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _median_sigma_max(plan: _Plan) -> float:
-    """The median sigma_max over every (n_train, seed) cell that fits the
-    pool, from about half of their factorizations.
+    """The median sigma_max over every (n_train, seed) cell, from about half
+    of their factorizations.
 
     A seed's training sets nest along the strictly increasing grid, and
     appending a row never lowers sigma_max (Cauchy interlacing), so each
@@ -354,24 +329,20 @@ def _median_sigma_max(plan: _Plan) -> float:
     order; two prefixes whose sigma_max agree to within rounding (say, after
     an appended zero row) can move the median by that rounding.
     """
-    fitting = sum(n <= plan.pool_rows for n in plan.grid) * len(plan.config.seeds)
+    cells = len(plan.grid) * len(plan.config.seeds)
 
     def tops(seed):
         x = _environment(plan, seed)[0]
         for n in plan.grid:
-            if n > plan.pool_rows:
-                return
             yield np.linalg.svd(x[:n], compute_uv=False)[0]
 
-    lowest = list(islice(heapq.merge(*map(tops, plan.config.seeds)), fitting // 2 + 1))
-    if not lowest:
-        raise ConfigError("no usable cells to resolve the cutoff from")
+    lowest = list(islice(heapq.merge(*map(tops, plan.config.seeds)), cells // 2 + 1))
     # The median of all M: the middle value, or the mean of the middle two.
-    return _median(lowest[-1:] if fitting % 2 else lowest[-2:])
+    return _median(lowest[-1:] if cells % 2 else lowest[-2:])
 
 
 def apply_ablation(
-    kind: AblationKind, tau: float | None, s: SvdResult, x_eval: np.ndarray
+    kind: str, tau: float | None, s: SvdResult, x_eval: np.ndarray
 ) -> tuple[SvdResult, np.ndarray]:
     """One cell's ablation, on the factorization ``s`` of its training rows
     and the rows ``x_eval`` its test error is measured on.
@@ -383,27 +354,24 @@ def apply_ablation(
     ``_prepare``, before any cell runs, and reports it as
     ``resolved["tau"]``.
     """
-    if kind.kind == "sv-cutoff":
+    if kind == "sv-cutoff":
         return truncate_svd(s, tau), x_eval
-    if kind.kind == "test-projection":
+    if kind == "test-projection":
         return s, project_onto_rowspace(x_eval, truncate_svd(s, tau))
     return s, x_eval
 
 
-def _cell(
-    x, y, x_eval, y_eval, s: SvdResult, gt: GroundTruth, policy: EstimatorPolicy
-) -> dict:
+def _cell(x, y, x_eval, y_eval, s: SvdResult, gt: GroundTruth, lam: float) -> dict:
     """The data columns of one cell's record, all from its one factorization.
 
     ``s`` factors the training rows ``x`` (truncated under sv-cutoff); the
-    fit, sigma_min and the decomposition all use it, with the one lambda the
-    policy resolves for it (0 for the pseudoinverse).  The fit is the
+    fit, sigma_min and the decomposition all use it, with the one ridge
+    strength ``lam`` (0 for the pseudoinverse).  The fit is the
     spectral filter the decomposition splits and crosschecks, X^+ y or ridge
     on ``s``, so test_mse is the crosschecked error for every estimator.
     ``x_eval`` and ``y_eval`` are the rows the test error is measured on.
     A train or test MSE that overflows fails the cell with ``DomainError``.
     """
-    lam = policy.lam_for(s)
     fit = fit_ridge(x, y, lam, s=s) if lam > 0 else fit_pinv(x, y, s=s)
     test_mse = _mse(x_eval, y_eval, fit.beta, "test")
     try:
@@ -430,29 +398,29 @@ def _seed_state(plan: _Plan, seed: int):
     n_pool = plan.pool_rows
     x_pool, y_pool, x_test, y_test = x[:n_pool], y[:n_pool], x[n_pool:], y[n_pool:]
     beta_star = make_ground_truth(x, y, x_pool, y_pool).beta_star
-    if plan.config.ablation.kind == "linearized-targets":
+    if plan.config.ablation == "linearized-targets":
         y_pool, y_test = x_pool @ beta_star, x_test @ beta_star
     return x_pool, y_pool, x_test, y_test, beta_star
 
 
 def _linear_cell(plan: _Plan, state, n_train: int, seed: int) -> SweepRecord:
     x_pool, y_pool, x_test, y_test, beta_star = state
-    if n_train > x_pool.shape[0]:
-        raise ConfigError(
-            f"n_train={n_train} exceeds the {x_pool.shape[0]}-row training pool"
-        )
     x, y = x_pool[:n_train], y_pool[:n_train]
-    ablation = plan.config.ablation
-    s, x_eval = apply_ablation(ablation, plan.tau, svd(x), x_test)
+    s, x_eval = apply_ablation(plan.config.ablation, plan.tau, svd(x), x_test)
     gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
-    policy = plan.config.estimator
+    if s.rank == 0:
+        lam = 0.0  # no mode to shrink: the fit is zero either way
+    elif plan.lam is None:
+        lam = RIDGE_AUTO_COEFF * float(s.singular_values[0]) ** 2
+    else:
+        lam = plan.lam
     return SweepRecord(
         n_train=n_train,
         d=plan.d,
         seed=seed,
-        ablation=ablation.label(plan.tau),
-        estimator=policy.label(),
-        **_cell(x, y, x_eval, y_test, s, gt, policy),
+        ablation=plan.ablation,
+        estimator=plan.estimator,
+        **_cell(x, y, x_eval, y_test, s, gt, lam),
     )
 
 
@@ -540,9 +508,9 @@ def run_sweep(config: SweepConfig) -> SweepOutcome:
         **source,
         "grid": plan.grid,
         "seeds": list(config.seeds),
-        "ablation": config.ablation.label(plan.tau),
+        "ablation": plan.ablation,
         "tau": plan.tau,
-        "estimator": config.estimator.label(),
+        "estimator": plan.estimator,
         **outcome.resolved,
     }
     return outcome
@@ -578,8 +546,7 @@ def run_polynomial_sweep(
         raise ConfigError("P grid entries must be integers in [1, 200]")
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
-    if not 0 <= noise_sd < math.inf:
-        raise ConfigError(f"noise-sd must be finite and >= 0, got {noise_sd}")
+    _check_seeds_and_noise(seeds, noise_sd)
     xs = np.linspace(-1.0, 1.0, DENSE_EVAL_POINTS)
     p_max = max(p_grid)
     stack = np.empty((n + DENSE_EVAL_POINTS, p_max + 1))
@@ -592,15 +559,13 @@ def run_polynomial_sweep(
         stack[:n, :p_max], stack[:n, p_max] = x, y
         return x, y, factor_nested_ground_truth(stack)
 
-    pinv = EstimatorPolicy()
-
     def cell(state, p: int, seed: int) -> SweepRecord:
         x_max, y, truth = state
         x, xe = x_max[:, :p], xe_max[:, :p]
         gt = make_nested_ground_truth(truth, x, y)
         return SweepRecord(
-            n_train=n, d=p, seed=seed, ablation="none", estimator=pinv.label(),
-            **_cell(x, y, xe, ye, svd(x), gt, pinv),
+            n_train=n, d=p, seed=seed, ablation="none", estimator="pinv",
+            **_cell(x, y, xe, ye, svd(x), gt, 0.0),
         )
 
     p_grid = [int(p) for p in p_grid]

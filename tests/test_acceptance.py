@@ -23,7 +23,6 @@ from descent_lab import (
     fit_pinv,
     make_ground_truth,
     median_series,
-    parse_ablation,
     peak_ratio,
     pseudoinverse_apply,
     run_polynomial_sweep,
@@ -102,7 +101,7 @@ def test_singular_value_dip(threshold_sweep):
 def test_ablations_remove_spike():
     ratios = {}
     for name in ("sv-cutoff", "test-projection", "linearized-targets"):
-        cfg = SweepConfig(**HEADLINE, ablation=parse_ablation(name))
+        cfg = SweepConfig(**HEADLINE, ablation=name)
         out = run_sweep(cfg)
         assert not out.failures, f"{name}: {len(out.failures)} cells failed"
         ratios[name] = peak_ratio(out.records, 32)

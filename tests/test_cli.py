@@ -30,7 +30,7 @@ from descent_lab.decomposition import (
 )
 from descent_lab.errors import ConfigError, EmptySeriesError
 from descent_lab.estimators import fit_pinv
-from descent_lab.experiments import AblationKind, SweepConfig, SweepRecord, _prepare
+from descent_lab.experiments import SweepConfig, SweepRecord, _prepare
 from descent_lab.linalg import pseudoinverse_apply, svd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -260,7 +260,7 @@ def test_manifest_records_tau_at_full_precision(tmp_path, ablation):
         assert tau is None
     else:
         config = SweepConfig(d=8, noise_sd=0.25, grid=list(range(2, 25)), seeds=[0, 1, 2],
-                             ablation=AblationKind("sv-cutoff"))
+                             ablation="sv-cutoff")
         assert tau == _prepare(config).tau
 
 
@@ -318,16 +318,49 @@ def test_an_out_at_a_file_exits_2_before_any_cell(tmp_path, capsys, monkeypatch,
     ["--ablation", "sv-cutoff:0.5"],
     ["--ablation", "test-projection:auto"],
     ["--estimator", "ridge:auto:0.3"],
+    ["--dataset", f"csv:{REPO / 'data' / 'diabetes.csv'}", "--target-col", "target",
+     "--grid", "2:360"],
+    ["--seeds", "3:1"],
+    ["--seeds=-1"],
 ], ids=["narrow-grid", "allow-narrow-grid", "sv-cutoff:0.5", "test-projection:auto",
-        "ridge:auto:0.3"])
+        "ridge:auto:0.3", "grid-past-pool", "no-seeds", "negative-seed"])
 def test_a_narrow_grid_or_a_removed_setting_exits_2_with_one_line(tmp_path, capsys, flags):
-    # The grid must span D, the cutoff is set by the data and ridge:auto's
-    # coefficient is fixed: no flag or spelling sets any of them.
+    # The grid must span D and, for a csv, end within its training pool; the
+    # cutoff is set by the data and ridge:auto's coefficient is fixed: no
+    # flag or spelling sets any of them; the seeds are a non-empty range of
+    # seeds >= 0.
     out = tmp_path / "out"
     assert main(["sweep", "--d", "32", "--seeds", "0", *flags, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("descent-lab: ")
+
+
+def _small_csv(tmp_path, features: int) -> Path:
+    path = tmp_path / "small.csv"
+    rows = np.random.default_rng(0).standard_normal((5, features + 1))
+    lines = [",".join(["y", *"abcdefgh"[:features]])]
+    lines += [",".join(f"{v:.6f}" for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_a_two_feature_csv_runs_on_the_default_grid(tmp_path):
+    # 5 rows leave a 4-row pool; the default grid starts at 1, below D = 2.
+    out = tmp_path / "out"
+    assert main(["sweep", "--dataset", f"csv:{_small_csv(tmp_path, 2)}", "--target-col", "y",
+                 "--seeds", "0:1", "--out", str(out)]) == 0
+    resolved = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["resolved"]
+    assert resolved["d"] == 2 and resolved["grid"] == [1, 2, 3, 4]
+
+
+def test_a_one_feature_csv_exits_2_saying_no_grid_point_lies_below_d(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--dataset", f"csv:{_small_csv(tmp_path, 1)}", "--target-col", "y",
+                 "--seeds", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no grid point lies below D=1" in err[0]
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import threading
 import weakref
 from dataclasses import replace
@@ -29,15 +30,11 @@ from descent_lab.decomposition import (
 from descent_lab.errors import ConfigError
 from descent_lab.estimators import REGIME_INTERP, REGIME_OVER, REGIME_UNDER, fit_pinv
 from descent_lab.experiments import (
-    AblationKind,
-    EstimatorPolicy,
     SweepConfig,
     SweepRecord,
     apply_ablation,
     default_synthetic_grid,
     median_series,
-    parse_ablation,
-    parse_estimator,
     peak_ratio,
     run_polynomial_sweep,
     run_sweep,
@@ -68,11 +65,6 @@ def test_sweep_covers_all_three_regimes():
     assert all(r.d == 32 for r in out.records)
 
 
-def test_sweep_with_no_seeds_is_empty():
-    out = run_sweep(SweepConfig(d=8, grid=[2, 8, 16], seeds=[]))
-    assert out.records == [] and out.failures == []
-
-
 def test_noiseless_threshold_cell_is_exact():
     out = run_sweep(SweepConfig(d=8, noise_sd=0.0, grid=[1, 8, 16], seeds=[0]))
     by_n = {r.n_train: r for r in out.records}
@@ -87,7 +79,7 @@ def test_apply_ablation_none_is_identity():
     x, _, _ = make_student_teacher(10, 4, 0.1, seed=0)
     s, x_eval = svd(x[:6]), x[6:]
     # linearized-targets acts on the seed's targets, not on the cell
-    for kind in (AblationKind(), AblationKind("linearized-targets")):
+    for kind in ("none", "linearized-targets"):
         s2, x_eval2 = apply_ablation(kind, None, s, x_eval)
         assert s2 is s and x_eval2 is x_eval
 
@@ -98,7 +90,7 @@ def test_projection_onto_full_rowspace_changes_nothing_visible():
     x_all, y_all, _ = make_student_teacher(8, 8, 0.3, seed=1)
     x, y, x_eval = x_all[:3], y_all[:3], x_all[3:]
     s = svd(x)
-    s2, x_eval2 = apply_ablation(AblationKind("test-projection"), 0.0, s, x_eval)
+    s2, x_eval2 = apply_ablation("test-projection", 0.0, s, x_eval)
     assert s2 is s
     beta = fit_pinv(x, y).beta
     assert_allclose(x_eval2 @ beta, x_eval @ beta, atol=1e-10)
@@ -107,7 +99,7 @@ def test_projection_onto_full_rowspace_changes_nothing_visible():
 
 
 def test_linearized_targets_leave_no_residuals():
-    plan = experiments._prepare(small_config(ablation=AblationKind("linearized-targets")))
+    plan = experiments._prepare(small_config(ablation="linearized-targets"))
     x_pool, y_pool, x_test, y_test, _ = experiments._seed_state(plan, 2)
     gt = make_ground_truth(
         np.vstack([x_pool, x_test]), np.concatenate([y_pool, y_test]), x_pool, y_pool
@@ -116,7 +108,7 @@ def test_linearized_targets_leave_no_residuals():
 
 
 def test_sv_cutoff_floor_shows_up_in_records():
-    out = run_sweep(small_config(ablation=AblationKind("sv-cutoff"), seeds=[0, 1]))
+    out = run_sweep(small_config(ablation="sv-cutoff", seeds=[0, 1]))
     assert not out.failures
     tau = out.resolved["tau"]
     assert all(r.ablation == f"sv-cutoff:{tau:.12g}" for r in out.records)
@@ -141,15 +133,14 @@ TAU_CONFIGS = {
     "diabetes": dict(DIABETES, grid=None, seeds=list(range(5))),
     "diabetes-one-seed": dict(DIABETES, grid=None, seeds=[7]),
     "diabetes-raw": dict(DIABETES, grid=[5, 20, 100], seeds=list(range(6)), standardize=False),
-    # grids that run past the 354-row pool: only the cells that fit count
-    "diabetes-past-pool": dict(DIABETES, grid=list(range(2, 500, 9)), seeds=list(range(3))),
-    "diabetes-past-pool-even": dict(DIABETES, grid=[5, 200, 353, 354, 400], seeds=[0, 1]),
+    # grids that end on the 354-row pool's last row, odd and even cell counts
+    "diabetes-end-odd": dict(DIABETES, grid=[*range(2, 354, 9), 354], seeds=[0, 1, 2]),
+    "diabetes-end-even": dict(DIABETES, grid=[5, 200, 353, 354], seeds=[0, 1]),
 }
 
 
-def _every_fitting_sigma_max(config: SweepConfig) -> list[float]:
-    """sigma_max of every (n_train, seed) cell whose training set fits the
-    seed's pool, each from its own SVD."""
+def _every_sigma_max(config: SweepConfig) -> list[float]:
+    """sigma_max of every (n_train, seed) cell, each from its own SVD."""
     if config.source == "student-teacher":
         rows = config.grid[-1]
         grid = config.grid
@@ -162,46 +153,24 @@ def _every_fitting_sigma_max(config: SweepConfig) -> list[float]:
         x, _, _ = load_csv(config.source[4:], config.target_column, config.standardize)
         n_rows = x.shape[0]
         rows = n_rows - round(experiments.HOLDOUT_FRACTION * n_rows)
-        grid = config.grid or experiments.default_real_grid(rows)
+        grid = config.grid or experiments.default_real_grid(rows, x.shape[1])
         pools = [x[np.random.default_rng(seed).permutation(n_rows)[:rows]]
                  for seed in config.seeds]
     return [np.linalg.svd(x[:n], compute_uv=False)[0]
-            for x in pools for n in grid if n <= rows]
+            for x in pools for n in grid]
 
 
 def _default_tau(config: SweepConfig) -> float:
     """The cutoff a sweep resolves for ``config`` under ``sv-cutoff``."""
-    return experiments._prepare(replace(config, ablation=AblationKind("sv-cutoff"))).tau
+    return experiments._prepare(replace(config, ablation="sv-cutoff")).tau
 
 
 @pytest.mark.parametrize("name", list(TAU_CONFIGS))
 def test_resolve_tau_matches_the_median_of_every_fitting_cell(name):
     config = SweepConfig(**TAU_CONFIGS[name])
     tau = _default_tau(config)
-    assert tau == 0.9 * np.median(_every_fitting_sigma_max(config))
+    assert tau == 0.9 * np.median(_every_sigma_max(config))
     assert tau > 0 and _default_tau(config) == tau
-
-
-def _csv_with_fewer_pool_rows_than_features(tmp_path) -> SweepConfig:
-    # 10 rows leave an 8-row pool; the grid spans the 12 features from 9 up,
-    # so no cell fits the pool.
-    path = tmp_path / "wide.csv"
-    rows = np.random.default_rng(0).standard_normal((10, 13))
-    lines = [",".join(["y", *(f"x{j}" for j in range(12))])]
-    lines += [",".join(f"{v:.6f}" for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return SweepConfig(source=f"csv:{path}", target_column="y", d=None, grid=[9, 20],
-                       seeds=[0, 1])
-
-
-@pytest.mark.parametrize("make_config", [
-    _csv_with_fewer_pool_rows_than_features,
-    lambda tmp_path: SweepConfig(d=8, grid=list(range(2, 25)), seeds=[]),
-], ids=["grid-past-pool", "no-seeds"])
-def test_resolve_tau_without_a_fitting_cell_is_a_config_error(tmp_path, make_config):
-    config = make_config(tmp_path)
-    with pytest.raises(ConfigError, match="no usable cells"):
-        run_sweep(replace(config, ablation=AblationKind("sv-cutoff")))
 
 
 def test_resolve_tau_factors_about_half_the_cells(monkeypatch):
@@ -221,7 +190,7 @@ def test_resolve_tau_factors_about_half_the_cells(monkeypatch):
 
 def test_ridge_flattens_the_spike():
     pinv_ratio = peak_ratio(run_sweep(small_config()).records, 8)
-    ridge_cfg = small_config(estimator=parse_estimator("ridge:auto"))
+    ridge_cfg = small_config(estimator="ridge:auto")
     ridge_ratio = peak_ratio(run_sweep(ridge_cfg).records, 8)
     assert pinv_ratio > 5.0
     assert ridge_ratio < 0.2 * pinv_ratio
@@ -470,11 +439,11 @@ def _count_calls(monkeypatch, home, name):
 
 VARIANTS = {
     "none": {},
-    "sv-cutoff": dict(ablation=AblationKind("sv-cutoff")),
-    "test-projection": dict(ablation=AblationKind("test-projection")),
-    "linearized-targets": dict(ablation=AblationKind("linearized-targets")),
-    "ridge:auto": dict(estimator=parse_estimator("ridge:auto")),
-    "ridge:0.1": dict(estimator=parse_estimator("ridge:0.1")),
+    "sv-cutoff": dict(ablation="sv-cutoff"),
+    "test-projection": dict(ablation="test-projection"),
+    "linearized-targets": dict(ablation="linearized-targets"),
+    "ridge:auto": dict(estimator="ridge:auto"),
+    "ridge:0.1": dict(estimator="ridge:0.1"),
 }
 
 
@@ -512,6 +481,16 @@ def test_crosscheck_runs_gelsd_only_on_truncated_cells(lstsq_calls, variant):
         assert lstsq_calls == []
 
 
+def _ridge_strength(plan, s) -> float:
+    """The lambda a cell factored as ``s`` fits with: 0 for pinv and for a
+    rank-0 factorization, the fixed lambda, or 0.5 sigma_max^2 for auto."""
+    if plan.config.estimator == "pinv" or s.rank == 0:
+        return 0.0
+    if plan.config.estimator == "ridge:auto":
+        return 0.5 * float(s.singular_values[0]) ** 2
+    return float(plan.config.estimator.removeprefix("ridge:"))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_headline_test_mse_is_the_decomposed_error(variant):
     cfg = SweepConfig(d=32, noise_sd=0.25, grid=list(range(2, 97)), seeds=[0, 1],
@@ -526,7 +505,7 @@ def test_headline_test_mse_is_the_decomposed_error(variant):
         s, x_eval = apply_ablation(cfg.ablation, plan.tau, svd(x), x_test)
         gt = GroundTruth(beta_star=beta_star, residuals=y - x @ beta_star)
         _assert_test_mse_is_the_decomposed_error(r, x_eval, y_test, x, y, s, gt,
-                                                 cfg.estimator.lam_for(s))
+                                                 _ridge_strength(plan, s))
 
 
 def test_a_seed_listed_twice_gives_its_records_twice(monkeypatch):
@@ -711,6 +690,17 @@ def test_default_synthetic_grid_spans_the_threshold():
     assert grid[0] == 2 and grid[-1] == 96 and 32 in grid
 
 
+def test_default_real_grid_starts_below_d():
+    # diabetes: 40 log-spaced points from 2 to the 354-row pool, 36 distinct
+    assert experiments.default_real_grid(354, 10) == [
+        2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 22, 25, 28, 32, 37, 42, 48, 55,
+        63, 72, 82, 94, 107, 122, 140, 160, 182, 208, 238, 271, 310, 354,
+    ]
+    assert experiments.default_real_grid(4, 2) == [1, 2, 3, 4]
+    with pytest.raises(ConfigError, match="no grid point lies below D=1"):
+        experiments.default_real_grid(354, 1)
+
+
 @pytest.mark.parametrize("length", [1, 2, 7, 30, 31])
 def test_median_matches_numpy_bit_for_bit(length):
     rng = np.random.default_rng(length)
@@ -730,54 +720,63 @@ def test_median_of_nan_is_nan():
 
 def test_parse_ablation():
     for kind in experiments.ABLATION_KINDS:
-        assert parse_ablation(kind) == AblationKind(kind)
-    assert parse_ablation("none") == AblationKind()
+        assert experiments._settings(kind, "pinv") == (0.0, "pinv")
     # the cutoff is set by the data: no spelling carries one
     for bad in ("flip-signs", "sv-cutoff:0.5", "sv-cutoff:auto", "test-projection:0",
                 "test-projection:auto", "none:0.5", "linearized-targets:1", "sv-cutoff:"):
         with pytest.raises(ConfigError):
-            parse_ablation(bad)
+            experiments._settings(bad, "pinv")
 
 
 def test_parse_estimator():
-    assert parse_estimator("pinv") == EstimatorPolicy()
-    assert parse_estimator("ridge:0.25") == EstimatorPolicy("ridge", lam=0.25)
-    assert parse_estimator("ridge:auto") == EstimatorPolicy("ridge")
-    for bad in ("lasso", "ridge", "ridge:", "ridge:soft", "ridge:-1", "pinv:0.1",
+    assert experiments._settings("none", "pinv") == (0.0, "pinv")
+    assert experiments._settings("none", "ridge:0.25") == (0.25, "ridge:0.25")
+    assert experiments._settings("none", "ridge:1e-1") == (0.1, "ridge:0.1")
+    assert experiments._settings("none", "ridge:auto") == (None, "ridge:auto:0.5")
+    for bad in ("lasso", "ridge", "ridge:", "ridge:soft", "ridge:-1", "ridge:0", "pinv:0.1",
                 "ridge:auto:0.1", "ridge:auto:junk", "ridge:auto:", "ridge:nan",
                 "ridge:inf", "ridge:auto:inf"):
         with pytest.raises(ConfigError):
-            parse_estimator(bad)
+            experiments._settings("none", bad)
 
 
 def test_ablation_kind_labels_and_validation():
-    assert AblationKind().label(None) == "none"
-    assert AblationKind("linearized-targets").label(None) == "linearized-targets"
-    assert AblationKind("sv-cutoff").label(0.5) == "sv-cutoff:0.5"
-    assert AblationKind("sv-cutoff").label(1 / 3) == "sv-cutoff:0.333333333333"
-    assert AblationKind("test-projection").label(0.0) == "test-projection:0"
-    with pytest.raises(ConfigError):
-        AblationKind("flip-signs")
-    with pytest.raises(TypeError):
-        AblationKind("sv-cutoff", 0.5)  # no cutoff field
+    # the records' label is the kind, with the resolved cutoff to 12 digits
+    # for the two kinds that cut
+    for kind in experiments.ABLATION_KINDS:
+        plan = experiments._prepare(small_config(ablation=kind, seeds=[0, 1]))
+        if kind in ("sv-cutoff", "test-projection"):
+            assert plan.tau > 0 and plan.ablation == f"{kind}:{plan.tau:.12g}"
+        else:
+            assert plan.tau is None and plan.ablation == kind
+    with pytest.raises(ConfigError, match="unknown ablation 'flip-signs'"):
+        run_sweep(small_config(ablation="flip-signs"))
 
 
-def test_estimator_policy_validation():
-    with pytest.raises(ConfigError):
-        EstimatorPolicy("lasso")
-    with pytest.raises(ConfigError):
-        EstimatorPolicy("pinv", lam=0.1)
-    with pytest.raises(ConfigError):
-        EstimatorPolicy("ridge", lam=0.0)
-    with pytest.raises(TypeError):
-        EstimatorPolicy("ridge", auto_coeff=0.1)  # no coefficient field
-    # without a fixed lambda, ridge takes RIDGE_AUTO_COEFF * sigma_max^2
-    auto = EstimatorPolicy("ridge")
-    assert auto.label() == "ridge:auto:0.5"
-    s = svd(np.diag([3.0, 1.0]))
-    assert auto.lam_for(s) == experiments.RIDGE_AUTO_COEFF * 9.0
-    assert EstimatorPolicy("ridge", lam=0.1).lam_for(s) == 0.1
-    assert EstimatorPolicy().lam_for(s) == 0.0
+def test_estimator_policy_validation(monkeypatch):
+    # pinv fits at lambda 0, ridge:<lambda> at that lambda and ridge:auto at
+    # RIDGE_AUTO_COEFF * sigma_max^2 of each cell's own factorization
+    lams = []
+    cell = experiments._cell
+
+    def recording(*args):
+        lams.append((args[4], args[6]))  # the cell's SVD and its lambda
+        return cell(*args)
+
+    monkeypatch.setattr(experiments, "_cell", recording)
+    for estimator, label in (("pinv", "pinv"), ("ridge:0.1", "ridge:0.1"),
+                             ("ridge:auto", "ridge:auto:0.5")):
+        lams.clear()
+        out = run_sweep(small_config(estimator=estimator, seeds=[0]))
+        assert not out.failures and out.resolved["estimator"] == label
+        assert {r.estimator for r in out.records} == {label}
+        assert len(lams) == len(SMALL["grid"])
+        for s, lam in lams:
+            want = {"pinv": 0.0, "ridge:0.1": 0.1}.get(
+                estimator, experiments.RIDGE_AUTO_COEFF * float(s.singular_values[0]) ** 2)
+            assert lam == want
+    with pytest.raises(ConfigError, match="unknown estimator 'lasso'"):
+        run_sweep(small_config(estimator="lasso"))
 
 
 def test_peak_ratio_needs_both_anchor_points():
@@ -804,15 +803,36 @@ def test_median_series_groups_and_skips_missing():
     assert ds == [5, 9]
 
 
-def test_run_cell_rejects_oversized_n_train():
-    # 442 diabetes rows leave a 354-row training pool; the last entry passes it.
-    out = run_sweep(SweepConfig(**DIABETES, grid=[2, 20, 354, 355], seeds=[0, 1]))
-    assert [(r.n_train, r.seed) for r in out.records] == [
-        (n, seed) for n in (2, 20, 354) for seed in (0, 1)
-    ]
-    assert [(f.n_train, f.seed) for f in out.failures] == [(355, 0), (355, 1)]
-    for f in out.failures:
-        assert f.error == "ConfigError: n_train=355 exceeds the 354-row training pool"
+# Each input a sweep refuses, over the small sv-cutoff sweep, and the
+# refusal's message.
+REFUSED = {
+    "unknown-ablation": (dict(ablation="flip-signs"), "unknown ablation 'flip-signs'"),
+    "sv-cutoff:0.5": (dict(ablation="sv-cutoff:0.5"), "ablations take no argument"),
+    "test-projection:auto": (dict(ablation="test-projection:auto"),
+                             "ablations take no argument"),
+    "ridge:inf": (dict(estimator="ridge:inf"), "ridge needs a finite lambda > 0, got inf"),
+    "ridge:": (dict(estimator="ridge:"), "ridge needs a lambda, e.g. ridge:0.1"),
+    "ridge:auto:0.3": (dict(estimator="ridge:auto:0.3"),
+                       "bad lambda in estimator 'ridge:auto:0.3'"),
+    # 442 diabetes rows leave a 354-row training pool; the last entry passes it
+    "grid-past-pool": (dict(DIABETES, grid=[2, 20, 354, 355]),
+                       "grid ends at n_train=355, past the 354-row training pool"),
+    "no-seeds": (dict(seeds=[]), "no seeds to run"),
+    "negative-seed": (dict(seeds=[3, -1]), "seeds must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_prepare_refuses_before_the_tau_pass_or_a_cell(monkeypatch, name):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran past _prepare's checks")
+
+    monkeypatch.setattr(np.linalg, "svd", must_not_run)
+    monkeypatch.setattr(experiments, "_run_cells", must_not_run)
+    overrides, message = REFUSED[name]
+    config = SweepConfig(**{**SMALL, "ablation": "sv-cutoff", **overrides})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_sweep(config)
 
 
 def test_unknown_source_is_rejected():

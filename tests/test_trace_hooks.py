@@ -109,5 +109,5 @@ def test_every_benchmark_command_parses(workloads, tmp_path):
         except SystemExit:
             pytest.fail(f"descent-lab rejects the benchmark command {argv}")
         if args.command == "sweep":
-            experiments.parse_ablation(args.ablation)
-            experiments.parse_estimator(args.estimator)
+            # the settings check _prepare runs first
+            experiments._settings(args.ablation, args.estimator)
