@@ -188,6 +188,39 @@ def test_resolve_tau_factors_about_half_the_cells(monkeypatch):
     assert 0 < len(calls) <= 291
 
 
+def _csv_with_fewer_pool_rows_than_features(tmp_path) -> SweepConfig:
+    # 10 rows leave an 8-row pool; the grid spans the 12 features from 9 up,
+    # so no cell fits the pool.
+    path = tmp_path / "wide.csv"
+    rows = np.random.default_rng(0).standard_normal((10, 13))
+    lines = [",".join(["y", *(f"x{j}" for j in range(12))])]
+    lines += [",".join(f"{v:.6f}" for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return SweepConfig(source=f"csv:{path}", target_column="y", d=None, grid=[9, 20],
+                       seeds=[0, 1])
+
+
+@pytest.mark.parametrize("make_config, message", [
+    (_csv_with_fewer_pool_rows_than_features,
+     "grid ends at n_train=20, past the 8-row training pool"),
+    (lambda tmp_path: SweepConfig(d=8, grid=list(range(2, 25)), seeds=[]),
+     "no seeds to run"),
+], ids=["grid-past-pool", "no-seeds"])
+def test_resolve_tau_without_a_fitting_cell_is_a_config_error(
+    tmp_path, monkeypatch, make_config, message
+):
+    # Neither config has a cell the tau pass could factor; _prepare refuses
+    # both before that pass takes a single SVD.
+    config = make_config(tmp_path)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the tau pass ran")
+
+    monkeypatch.setattr(np.linalg, "svd", must_not_run)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_sweep(replace(config, ablation="sv-cutoff"))
+
+
 def test_ridge_flattens_the_spike():
     pinv_ratio = peak_ratio(run_sweep(small_config()).records, 8)
     ridge_cfg = small_config(estimator="ridge:auto")
@@ -801,6 +834,24 @@ def test_median_series_groups_and_skips_missing():
     # the polynomial sweep varies d at fixed n, so the key is swappable
     ds, _ = median_series([record(2, 1.0, d=5), record(2, 2.0, d=9)], "test_mse", key="d")
     assert ds == [5, 9]
+
+
+def test_run_cell_rejects_oversized_n_train(monkeypatch):
+    # 442 diabetes rows leave a 354-row training pool: a grid ending on the
+    # pool's last row runs every cell, one row past it is refused whole.
+    out = run_sweep(SweepConfig(**DIABETES, grid=[2, 20, 354], seeds=[0, 1]))
+    assert [(r.n_train, r.seed) for r in out.records] == [
+        (n, seed) for n in (2, 20, 354) for seed in (0, 1)
+    ]
+    assert out.failures == []
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "_run_cells", must_not_run)
+    message = "grid ends at n_train=355, past the 354-row training pool"
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(SweepConfig(**DIABETES, grid=[2, 20, 354, 355], seeds=[0, 1]))
 
 
 # Each input a sweep refuses, over the small sv-cutoff sweep, and the
